@@ -24,7 +24,17 @@ benchmark asserts ``MIN_EVAL_SPEEDUP`` even under
 ``--benchmark-disable``, so the CI smoke run catches an evaluation
 path that silently loses its edge.
 
-Results land in the repo-root ``BENCH_eval.json`` (see conftest).
+A second comparison times the two integer cores of the metric kernel
+on every family's medium preset: the compiled pricing kernel
+(:mod:`repro.core.price_kernel`, via
+:func:`repro.core.array_metrics.price_counts`) next to the pure-Python
+kernel it replaced (:func:`~repro.core.array_metrics.price_counts_python`),
+per finished state of one MH neighbourhood.  Both must return the same
+four integers on every state.
+
+Results land in the repo-root ``BENCH_eval.json`` (see conftest), with
+the core count, the Python/numpy/cffi versions and whether the compiled
+kernel loaded.
 
 Run:  pytest benchmarks/bench_eval.py --benchmark-only
 """
@@ -36,6 +46,8 @@ import time
 
 import pytest
 
+from repro.core import price_kernel
+from repro.core.array_metrics import price_counts, price_counts_python
 from repro.core.improvement import DescentParams, generate_moves
 from repro.core.initial_mapping import InitialMapper
 from repro.core.metrics import evaluate_design
@@ -54,14 +66,21 @@ BENCH_PRESETS = ("tiny", "small", "medium")
 #: ``BENCH_eval.json`` from a quiet timed run is the >=3x record).
 MIN_EVAL_SPEEDUP = 2.5
 
+#: Families whose medium preset the pricing-kernel comparison times.
+PRICING_FAMILIES = tuple(
+    name
+    for name in families.family_names()
+    if "medium" in families.get_family(name).preset_names
+)
+
 _CONTEXTS: dict = {}
 
 
-def _context(preset: str):
+def _context(preset: str, family_name: str = "uniform-baseline"):
     """Scenario, kernels and neighbourhood of one preset (built once)."""
-    if preset in _CONTEXTS:
-        return _CONTEXTS[preset]
-    family = families.get_family("uniform-baseline")
+    if (family_name, preset) in _CONTEXTS:
+        return _CONTEXTS[family_name, preset]
+    family = families.get_family(family_name)
     scenario = family.build(preset, seed=1)
     spec = scenario.spec()
     compiled_array = CompiledSpec(spec, engine_core="array")
@@ -82,7 +101,7 @@ def _context(preset: str):
     moves = generate_moves(spec, parent, DescentParams(pool_size=8))
     children = [move.apply(parent.design) for move in moves]
     context = (spec, compiled_array, compiled_object, arrays, scheduler, children)
-    _CONTEXTS[preset] = context
+    _CONTEXTS[family_name, preset] = context
     return context
 
 
@@ -214,3 +233,44 @@ def test_decode_always_evaluation(benchmark, preset):
     benchmark.extra_info["eval_record"] = "decode-always"
     benchmark.extra_info["preset"] = preset
     benchmark.extra_info["scenario_jobs"] = compiled_array.total_jobs
+
+
+@pytest.mark.parametrize("family_name", PRICING_FAMILIES)
+def test_pricing_kernels(benchmark, family_name):
+    """Compiled vs pure-Python integer core over finished states."""
+    spec, _, _, arrays, _, children = _context("medium", family_name)
+    future = spec.future
+    states = [
+        state
+        for state in (arrays.schedule_design(child) for child in children)
+        if state.success
+    ]
+    for state in states:
+        assert price_counts(arrays, state, future) == price_counts_python(
+            arrays, state, future
+        )
+
+    def run():
+        for state in states:
+            price_counts(arrays, state, future)
+
+    benchmark(run)
+    loaded = price_kernel.KERNEL is not None
+    median_python = _per_candidate(
+        lambda state: price_counts_python(arrays, state, future), states
+    )
+    info = {
+        "eval_record": "pricing",
+        "family": family_name,
+        "preset": "medium",
+        "n_states": len(states),
+        "compiled_kernel_loaded": loaded,
+        "median_python_us": round(median_python * 1e6, 1),
+    }
+    if loaded:
+        median_compiled = _per_candidate(
+            lambda state: price_counts(arrays, state, future), states
+        )
+        info["median_compiled_us"] = round(median_compiled * 1e6, 1)
+        info["speedup_vs_python"] = round(median_python / median_compiled, 2)
+    benchmark.extra_info.update(info)

@@ -20,6 +20,7 @@ paper-scale run is driven through the CLI instead
 from __future__ import annotations
 
 import json
+import os
 import platform
 from pathlib import Path
 
@@ -65,10 +66,32 @@ def _merge_rows(path: Path, rows) -> list:
     return sorted(merged.values(), key=lambda row: row["name"])
 
 
+def _environment() -> dict:
+    """What the numbers were measured on (ratios shift between machines)."""
+    import numpy
+
+    from repro.core import price_kernel
+
+    try:
+        import cffi
+
+        cffi_version = cffi.__version__
+    except ImportError:
+        cffi_version = None
+    return {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "cffi": cffi_version,
+        "compiled_pricing_kernel": price_kernel.KERNEL is not None,
+    }
+
+
 def _write_results(path: Path, results, extra=None) -> None:
     payload = {
         "schema": 1,
         "python": platform.python_version(),
+        "environment": _environment(),
         "results": results,
     }
     if extra:
@@ -138,7 +161,13 @@ def _sched_summary(rows) -> dict:
 
 
 def _eval_summary(rows) -> dict:
-    """The evaluation headline: end-to-end speedup on medium."""
+    """The evaluation headlines: end-to-end speedup on medium, and the
+    compiled pricing kernel's speedup over the Python one per family."""
+    pricing = {
+        row["extra_info"]["family"]: row["extra_info"].get("speedup_vs_python")
+        for row in rows
+        if row["extra_info"].get("eval_record") == "pricing"
+    }
     for row in rows:
         info = row["extra_info"]
         if (
@@ -156,6 +185,7 @@ def _eval_summary(rows) -> dict:
                     "medium_speedup_vs_decode_always": info.get(
                         "speedup_vs_decode_always"
                     ),
+                    "medium_pricing_speedup_vs_python": pricing,
                 }
             }
     return {}

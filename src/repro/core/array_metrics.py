@@ -3,34 +3,29 @@
 The structure-of-arrays scheduler core finishes a candidate as an
 :class:`~repro.sched.arrays.ArrayRunState` -- per-node sorted busy-run
 columns plus one flat used-bytes vector over the TDMA slot
-occurrences.  The historical metric path decoded that state back into
-an object :class:`~repro.sched.schedule.SystemSchedule` solely to feed
-:mod:`repro.core.metrics`, which made decode the Amdahl cap of every
-candidate evaluation.  This module prices the state directly:
+occurrences.  This module prices that state directly, in two halves:
 
-* **Node slack** is extracted from the ``runs_s``/``runs_e`` columns
-  with the exact one-pass gap/window split of
-  :func:`repro.core.metrics._node_slack_data` (the columns are kept in
-  the same canonical merged form the object schedule's busy sets use).
-* **Bus slack** never rebuilds a residual vector: the precompiled
-  :class:`~repro.sched.arrays.ArrayMetricGeometry` carries the *base*
-  occupancy's residual histogram and per-window free bytes, and a
-  candidate is priced by patching those at the few occurrences where
-  its flat used vector differs from the base (or from its delta
-  parent) -- one vectorized compare plus a handful of dict updates.
-* **Best-fit packing** runs over value histograms
-  (:func:`repro.core.binpack.best_fit_unplaced_total_hist`); the
-  ablation policies (first/worst-fit) rebuild the exact ordered
-  container lists of the object kernel via the geometry's start-order
-  permutation.
+* **The integer core** reduces the state to four integers: the
+  unplaced future-process total (best fit into the node slack gaps),
+  C2P (the sum over nodes of the minimum per-``T_min``-window slack),
+  the unplaced future-message total (best fit into the slot
+  residuals) and C2M (the minimum per-window free bus bytes).  It runs
+  in C (:mod:`repro.core.price_kernel`) when the extension is
+  available, and otherwise in :func:`price_counts_python`, the
+  pure-Python kernel that also serves as the test oracle.
+* **The float mixing** (:func:`mix_counts`) turns the four integers
+  into :class:`~repro.core.metrics.DesignMetrics` with the object
+  kernel's exact expressions, in the same order.
 
-Byte-identity with the pinned object kernel is by construction: every
-metric is computed from equal integer inputs with the same float
-expressions, in the same order; the equivalence suite
-(``tests/engine/test_array_metrics.py``) pins it across all scenario
-families.  Delta evaluation chains :class:`ArrayMetricsMemo`
-parent-to-child exactly the way :class:`repro.core.metrics.MetricsMemo`
-does on the object side.
+Because both integer kernels compute the same integers from the same
+inputs, and the floats are always mixed by the same Python code, the
+compiled and the Python path return bit-identical metrics, and both
+equal :func:`repro.core.metrics.evaluate_design` on the decoded
+schedule; the equivalence suite (``tests/engine/test_array_metrics.py``)
+pins it across all scenario families.  The ablation packing policies
+(first/worst fit) always run in Python: they rebuild the object
+kernel's ordered container lists via the geometry's start-order
+permutation.
 """
 
 from __future__ import annotations
@@ -40,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import price_kernel
 from repro.core.binpack import POLICIES, best_fit_unplaced_total_hist
 from repro.core.future import FutureCharacterization
 from repro.core.metrics import (
@@ -49,68 +45,8 @@ from repro.core.metrics import (
 )
 from repro.sched.arrays import ArrayMetricGeometry, ArrayRunState, ArraySpec
 
-
-class ArrayNodeData:
-    """One node's metric inputs, extracted from its run columns.
-
-    The array-core sibling of
-    :class:`repro.core.metrics.NodeSlackData`: slack gap lengths in
-    gap order (the node's C1P containers), the per-``T_min``-window
-    free time, and its minimum (the node's C2P contribution).
-    """
-
-    __slots__ = ("containers", "window_slacks", "window_min")
-
-    def __init__(
-        self,
-        containers: List[int],
-        window_slacks: List[int],
-        window_min: int,
-    ) -> None:
-        self.containers = containers
-        self.window_slacks = window_slacks
-        self.window_min = window_min
-
-
-class ArrayMetricsMemo:
-    """Per-resource metric inputs and values of one array-evaluated design.
-
-    The array-core sibling of
-    :class:`repro.core.metrics.MetricsMemo`, chained parent-to-child by
-    the delta evaluator: a child whose run columns on a node equal the
-    parent's reuses that node's :class:`ArrayNodeData`; a child whose
-    flat bus vector equals the parent's reuses the bus inputs and the
-    bus-derived metric values outright; a *dirty* bus is patched from
-    the parent's residual histogram at the differing occurrences.
-
-    ``bus_used`` is the evaluated state's flat used-bytes vector
-    (shared, never mutated) -- the diff substrate for children;
-    ``resid_hist`` maps residual value to occurrence count and
-    ``window_free`` holds free bytes per ``T_min`` window.
-    """
-
-    __slots__ = (
-        "nodes", "bus_used", "resid_hist", "window_free",
-        "c1p", "c1m", "c2m",
-    )
-
-    def __init__(
-        self,
-        nodes: List[ArrayNodeData],
-        bus_used: "np.ndarray",
-        resid_hist: Dict[int, int],
-        window_free: List[int],
-        c1p: float,
-        c1m: float,
-        c2m: int,
-    ) -> None:
-        self.nodes = nodes
-        self.bus_used = bus_used
-        self.resid_hist = resid_hist
-        self.window_free = window_free
-        self.c1p = c1p
-        self.c1m = c1m
-        self.c2m = c2m
+#: ``(unplaced process total, C2P, unplaced message total, C2M)``.
+PriceCounts = Tuple[int, int, int, int]
 
 
 def _run_length(bag: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
@@ -152,205 +88,157 @@ def _packing_runs(
     )
 
 
-def _node_data(
-    runs_s: List[int], runs_e: List[int], geom: ArrayMetricGeometry
-) -> ArrayNodeData:
-    """Extract one node's metric inputs from its canonical run columns.
+def price_counts_python(
+    arrays: ArraySpec,
+    state: ArrayRunState,
+    future: FutureCharacterization,
+    policy: str = "best-fit",
+) -> PriceCounts:
+    """The integer core in pure Python: the oracle and the fallback.
 
-    The column twin of :func:`repro.core.metrics._node_slack_data`:
-    one pass over the (sorted, merged) busy runs yields the gap
-    lengths and the per-window busy split.  Identical arithmetic on
-    identical integers -- the run columns are the canonical busy sets
-    the decoded schedule would expose.
+    Node slack comes from one pass over each node's canonical busy
+    runs (the column twin of
+    :func:`repro.core.metrics._node_slack_data`); bus slack patches
+    the geometry's base residual histogram and per-window free bytes
+    at the occurrences where the state's used vector differs from the
+    base.  ``policy`` selects the packing: best fit runs over value
+    histograms, the ablation policies over the object kernel's ordered
+    container lists.
     """
+    geom = arrays.metric_geometry(future.t_min)
+    (
+        process_bag, process_runs, _, process_min,
+        message_bag, message_runs, _, message_min,
+    ) = _packing_runs(future, arrays.horizon)
     horizon = geom.horizon
     width = geom.window_width
-    busy = [0] * geom.n_windows
+
     containers: List[int] = []
-    cursor = 0
-    for start, end in zip(runs_s, runs_e):
-        if start > cursor:
-            containers.append(start - cursor)
-        cursor = end
-        k = start // width
-        while start < end:
-            boundary = (k + 1) * width
-            if boundary >= end:
-                busy[k] += end - start
-                break
-            busy[k] += boundary - start
-            start = boundary
-            k += 1
-    if cursor < horizon:
-        containers.append(horizon - cursor)
-    window_slacks = [
-        length - used for length, used in zip(geom.window_lengths, busy)
-    ]
-    return ArrayNodeData(containers, window_slacks, min(window_slacks))
+    c2p = 0
+    for runs_s, runs_e in zip(state.runs_s, state.runs_e):
+        busy = [0] * geom.n_windows
+        cursor = 0
+        for start, end in zip(runs_s, runs_e):
+            if start - cursor >= process_min:
+                containers.append(start - cursor)
+            cursor = end
+            k = start // width
+            while start < end:
+                boundary = (k + 1) * width
+                if boundary >= end:
+                    busy[k] += end - start
+                    break
+                busy[k] += boundary - start
+                start = boundary
+                k += 1
+        if horizon - cursor >= process_min:
+            containers.append(horizon - cursor)
+        c2p += min(
+            length - used for length, used in zip(geom.window_lengths, busy)
+        )
 
-
-def _patch_bus(
-    resid_hist: Dict[int, int],
-    window_free: List[int],
-    used: "np.ndarray",
-    reference_used: "np.ndarray",
-    geom: ArrayMetricGeometry,
-) -> None:
-    """Patch reference bus inputs to ``used`` at the differing occurrences.
-
-    ``resid_hist``/``window_free`` must describe ``reference_used``
-    (the base template or a delta parent) and are mutated in place to
-    describe ``used``.  The diff is one vectorized compare; schedules
-    one move apart -- and even cold candidates against the base --
-    touch only a handful of occurrences.
-    """
+    used = state.bus_used
+    resid_hist = dict(geom.base_resid_hist)
+    window_free = list(geom.base_window_free)
     caps = geom.caps_flat
     win = geom.win_flat
-    for i in np.nonzero(used != reference_used)[0].tolist():
+    for i in np.nonzero(used != geom.base_used)[0].tolist():
         cap = int(caps[i])
-        before = int(reference_used[i])
+        before = int(geom.base_used[i])
         after = int(used[i])
-        old_resid = cap - before
-        count = resid_hist[old_resid] - 1
+        count = resid_hist[cap - before] - 1
         if count:
-            resid_hist[old_resid] = count
+            resid_hist[cap - before] = count
         else:
-            del resid_hist[old_resid]
-        new_resid = cap - after
-        resid_hist[new_resid] = resid_hist.get(new_resid, 0) + 1
+            del resid_hist[cap - before]
+        resid_hist[cap - after] = resid_hist.get(cap - after, 0) + 1
         w = int(win[i])
         if w >= 0:
             window_free[w] -= after - before
+    c2m = min(window_free)
 
-
-def evaluate_state(
-    arrays: ArraySpec,
-    state: ArrayRunState,
-    future: FutureCharacterization,
-    weights: Optional[ObjectiveWeights] = None,
-) -> DesignMetrics:
-    """Cold array-native evaluation (metrics only); see the delta form."""
-    metrics, _ = evaluate_state_delta(arrays, state, future, weights)
-    return metrics
-
-
-def evaluate_state_delta(
-    arrays: ArraySpec,
-    state: ArrayRunState,
-    future: FutureCharacterization,
-    weights: Optional[ObjectiveWeights] = None,
-    parent_memo: Optional[ArrayMetricsMemo] = None,
-    clean_mask: Sequence[bool] = (),
-    bus_clean: bool = False,
-) -> Tuple[DesignMetrics, ArrayMetricsMemo]:
-    """Price a finished array state; byte-identical to the object kernel.
-
-    The array twin of
-    :func:`repro.core.metrics.evaluate_design_delta`: cold evaluation
-    passes no parent (every resource extracted from the state's
-    columns, the bus patched from the precompiled base); delta
-    evaluation passes the parent's memo plus
-    :meth:`ArraySpec.clean_mask`'s verdict, and clean resources reuse
-    the parent's inputs -- clean *everything* reuses the metric values
-    themselves.  The mixing steps (packing, window minima, the
-    objective) recompute from the per-resource inputs with the object
-    kernel's exact expressions, so the returned metrics equal a cold
-    object evaluation bit for bit.
-    """
-    if weights is None:
-        weights = ObjectiveWeights()
-    geom = arrays.metric_geometry(future.t_min)
-    runs_s = state.runs_s
-    runs_e = state.runs_e
-
-    all_nodes_clean = parent_memo is not None
-    nodes: List[ArrayNodeData] = []
-    for n in range(len(runs_s)):
-        if parent_memo is not None and clean_mask[n]:
-            nodes.append(parent_memo.nodes[n])
-        else:
-            nodes.append(_node_data(runs_s[n], runs_e[n], geom))
-            all_nodes_clean = False
-
-    used = state.bus_used
-    bus_clean = parent_memo is not None and bus_clean
-    if bus_clean:
-        assert parent_memo is not None
-        resid_hist = parent_memo.resid_hist
-        window_free = parent_memo.window_free
-    elif parent_memo is not None:
-        resid_hist = dict(parent_memo.resid_hist)
-        window_free = list(parent_memo.window_free)
-        _patch_bus(resid_hist, window_free, used, parent_memo.bus_used, geom)
-    else:
-        resid_hist = dict(geom.base_resid_hist)
-        window_free = list(geom.base_window_free)
-        _patch_bus(resid_hist, window_free, used, geom.base_used, geom)
-
-    lean = weights.binpack_policy == "best-fit"
-    pack = POLICIES[weights.binpack_policy]
-    (
-        process_bag, process_runs, process_total, process_min,
-        message_bag, message_runs, message_total, message_min,
-    ) = _packing_runs(future, arrays.horizon)
-
-    if all_nodes_clean:
-        assert parent_memo is not None
-        c1p = parent_memo.c1p
-    elif process_bag:
+    lean = policy == "best-fit"
+    pack = POLICIES[policy]
+    process_unplaced = 0
+    if process_bag:
         if lean:
             container_hist: Dict[int, int] = {}
-            for data in nodes:
-                for length in data.containers:
-                    if length >= process_min:
-                        container_hist[length] = (
-                            container_hist.get(length, 0) + 1
-                        )
-            unplaced_total = best_fit_unplaced_total_hist(
+            for length in containers:
+                container_hist[length] = container_hist.get(length, 0) + 1
+            process_unplaced = best_fit_unplaced_total_hist(
                 process_runs, container_hist, consume=True
             )
         else:
-            containers = [
-                length
-                for data in nodes
-                for length in data.containers
-                if length >= process_min
-            ]
-            unplaced_total = sum(
+            process_unplaced = sum(
                 pack(process_bag, containers, decreasing=False).unplaced
             )
-        c1p = 100.0 * unplaced_total / process_total
-    else:
-        c1p = 0.0
-
-    if bus_clean:
-        assert parent_memo is not None
-        c1m = parent_memo.c1m
-        c2m = parent_memo.c2m
-    else:
-        if message_bag:
-            if lean:
-                unplaced_total = best_fit_unplaced_total_hist(
-                    message_runs, resid_hist
-                )
-            else:
-                residuals = (geom.caps_flat - used)[geom.start_order]
-                eligible = residuals[residuals >= message_min]
-                unplaced_total = sum(
-                    pack(
-                        message_bag, eligible.tolist(), decreasing=False
-                    ).unplaced
-                )
-            c1m = 100.0 * unplaced_total / message_total
+    message_unplaced = 0
+    if message_bag:
+        if lean:
+            message_unplaced = best_fit_unplaced_total_hist(
+                message_runs, resid_hist, consume=True
+            )
         else:
-            c1m = 0.0
-        c2m = min(window_free)
+            residuals = (caps - used)[geom.start_order]
+            eligible = residuals[residuals >= message_min]
+            message_unplaced = sum(
+                pack(message_bag, eligible.tolist(), decreasing=False).unplaced
+            )
+    return process_unplaced, c2p, message_unplaced, c2m
 
-    c2p = sum(data.window_min for data in nodes)
 
-    memo = ArrayMetricsMemo(
-        nodes, used, resid_hist, window_free, c1p, c1m, c2m
+@lru_cache(maxsize=32)
+def _price_context(
+    geom: ArrayMetricGeometry, future: FutureCharacterization
+) -> price_kernel.PriceContext:
+    """The compiled kernel's inputs for one ``(geometry, future)`` pair."""
+    kernel = price_kernel.KERNEL
+    assert kernel is not None
+    (
+        _, process_runs, _, process_min,
+        _, message_runs, _, message_min,
+    ) = _packing_runs(future, geom.horizon)
+    return price_kernel.PriceContext(
+        kernel,
+        geom,
+        process_runs,
+        process_min,
+        message_runs,
+        message_min,
     )
+
+
+def price_counts(
+    arrays: ArraySpec,
+    state: ArrayRunState,
+    future: FutureCharacterization,
+    policy: str = "best-fit",
+) -> PriceCounts:
+    """The integer core: compiled for best fit when loaded, else Python."""
+    if policy != "best-fit" or price_kernel.KERNEL is None:
+        return price_counts_python(arrays, state, future, policy)
+    context = _price_context(arrays.metric_geometry(future.t_min), future)
+    return context.price(state)
+
+
+def mix_counts(
+    counts: PriceCounts,
+    future: FutureCharacterization,
+    horizon: int,
+    weights: ObjectiveWeights,
+) -> DesignMetrics:
+    """The float half: percentages, penalties and the weighted objective.
+
+    The object kernel's expressions in its order, so equal integers
+    give bit-identical metrics.
+    """
+    process_unplaced, c2p, message_unplaced, c2m = counts
+    (
+        process_bag, _, process_total, _,
+        message_bag, _, message_total, _,
+    ) = _packing_runs(future, horizon)
+    c1p = 100.0 * process_unplaced / process_total if process_bag else 0.0
+    c1m = 100.0 * message_unplaced / message_total if message_bag else 0.0
 
     pen2p = max(0.0, float(future.t_need - c2p))
     pen2m = max(0.0, float(future.b_need - c2m))
@@ -366,4 +254,32 @@ def evaluate_state_delta(
         + weights.w2p * pen2p
         + weights.w2m * pen2m
     )
-    return DesignMetrics(c1p, c1m, c2p, c2m, pen2p, pen2m, objective), memo
+    return DesignMetrics(c1p, c1m, c2p, c2m, pen2p, pen2m, objective)
+
+
+def evaluate_state(
+    arrays: ArraySpec,
+    state: ArrayRunState,
+    future: FutureCharacterization,
+    weights: Optional[ObjectiveWeights] = None,
+) -> DesignMetrics:
+    """Price a finished array state; byte-identical to the object kernel."""
+    if weights is None:
+        weights = ObjectiveWeights()
+    counts = price_counts(arrays, state, future, weights.binpack_policy)
+    return mix_counts(counts, future, arrays.horizon, weights)
+
+
+def evaluate_state_delta(
+    arrays: ArraySpec,
+    state: ArrayRunState,
+    future: FutureCharacterization,
+    weights: Optional[ObjectiveWeights] = None,
+) -> Tuple[DesignMetrics, None]:
+    """:func:`evaluate_state` in the delta API's ``(metrics, memo)`` shape.
+
+    A compiled cold price is cheaper than patching a parent's memo, so
+    array pricing keeps no memo and the second element is always
+    ``None``.
+    """
+    return evaluate_state(arrays, state, future, weights), None

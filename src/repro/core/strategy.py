@@ -132,20 +132,23 @@ class DesignResult:
 
     def record_engine_stats(self, evaluator: "DesignEvaluator") -> "DesignResult":
         """Copy the evaluator's accounting into this result, in place."""
-        self.evaluations = evaluator.evaluations
-        self.cache_hits = evaluator.cache_hits
-        self.cache_misses = evaluator.cache_misses
-        self.delta_hits = evaluator.delta_hits
-        self.delta_fallbacks = evaluator.delta_fallbacks
-        self.sched_ns = evaluator.sched_ns
-        self.metrics_ns = evaluator.metrics_ns
-        self.decode_ns = evaluator.decode_ns
-        store = evaluator.store_stats()
-        self.store_hits = store.hits
-        self.store_misses = store.misses
-        self.store_writes = store.writes
-        self.store_open_ns = store.open_ns
-        self.store_commit_ns = store.commit_ns
+        return self.record_counters(evaluator.counters())
+
+    def record_counters(self, counters: EngineCounters) -> "DesignResult":
+        """Copy an engine-counter snapshot (or difference) in, in place."""
+        self.evaluations = counters.evaluations
+        self.cache_hits = counters.cache_hits
+        self.cache_misses = counters.cache_misses
+        self.delta_hits = counters.delta_hits
+        self.delta_fallbacks = counters.delta_fallbacks
+        self.sched_ns = counters.sched_ns
+        self.metrics_ns = counters.metrics_ns
+        self.decode_ns = counters.decode_ns
+        self.store_hits = counters.store_hits
+        self.store_misses = counters.store_misses
+        self.store_writes = counters.store_writes
+        self.store_open_ns = counters.store_open_ns
+        self.store_commit_ns = counters.store_commit_ns
         return self
 
     def design_identity(self) -> tuple:

@@ -27,18 +27,20 @@ for every decision before the move first matters.
    counts are reconstructed from the trace prefix.
 
 3. **Resume.**  :meth:`ListScheduler.run_pass` -- the same loop a cold
-   pass runs -- finishes the schedule from ``d``, and the metrics are
-   recomputed with :func:`~repro.core.metrics.evaluate_design_delta`,
-   reusing the parent's per-resource slack inputs for every resource
-   the resume never touched.
+   pass runs -- finishes the schedule from ``d``.  Under the object
+   core the metrics are recomputed with
+   :func:`~repro.core.metrics.evaluate_design_delta`, reusing the
+   parent's per-resource slack inputs for every resource the resume
+   never touched; under the array core the finished state is priced
+   cold by the compiled kernel, which is cheaper than any reuse.
 
 The result is **bit-identical** to a cold evaluation: same schedule
 occupancy, same metrics, same failure reasons for invalid children,
-and a trace/memo equal to what a cold traced run would have produced
-(so children chain as parents).  When any precondition fails -- the
-parent has no trace, the move type is unknown, or the divergence is at
-event 0 -- the evaluator *falls back to a full cold evaluation*; it
-never guesses.
+and a trace (and object-core memo) equal to what a cold traced run
+would have produced (so children chain as parents).  When any
+precondition fails -- the parent has no trace, the move type is
+unknown, or the divergence is at event 0 -- the evaluator *falls back
+to a full cold evaluation*; it never guesses.
 """
 
 from __future__ import annotations
@@ -192,26 +194,23 @@ class DeltaEvaluator:
     ) -> Tuple[Optional[EvaluatedDesign], bool]:
         """The array-core twin of :meth:`evaluate_move`'s resume branch.
 
-        Same contract, different substrate: divergence, checkpoint
-        reconstruction *and the metrics* run over the parent's
-        :class:`ArrayRunState` columns (:meth:`ArraySpec.divergence` /
-        :meth:`ArraySpec.resume_state` /
-        :func:`repro.core.array_metrics.evaluate_state_delta`); no
-        object schedule is decoded -- the outcome decodes lazily if a
-        consumer ever asks.
+        Same contract, different substrate: divergence and checkpoint
+        reconstruction run over the parent's :class:`ArrayRunState`
+        columns (:meth:`ArraySpec.divergence` /
+        :meth:`ArraySpec.resume_state`), and the finished child state
+        is priced cold by :func:`repro.core.array_metrics.evaluate_state`
+        -- no parent memo, no object schedule decoded (the outcome
+        decodes lazily if a consumer ever asks).
         """
-        from repro.core.array_metrics import (
-            ArrayMetricsMemo,
-            evaluate_state_delta,
-        )
+        from repro.core.array_metrics import evaluate_state
 
         timings = self.timings
         start = time.perf_counter_ns()
-        attempt = self.try_resume_arrays(parent, move, child)
+        state = self.try_resume_arrays(parent, move, child)
         mid = time.perf_counter_ns()
         if timings is not None:
             timings.sched_ns += mid - start
-        if attempt is None:
+        if state is None:
             outcome = evaluate_candidate(
                 self.compiled.spec,
                 self.compiled,
@@ -221,27 +220,19 @@ class DeltaEvaluator:
                 timings=timings,
             )
             return outcome, False
-        state, clean_mask, bus_clean = attempt
         if not state.success:
             return None, True
         arrays = self.compiled.arrays
-        parent_memo = parent.memo
-        if not isinstance(parent_memo, ArrayMetricsMemo):
-            # Engine-core switch or legacy parent: price cold.
-            parent_memo = None
-        metrics, memo = evaluate_state_delta(
+        metrics = evaluate_state(
             arrays,
             state,
             self.compiled.spec.future,
             self.compiled.spec.weights,
-            parent_memo=parent_memo,
-            clean_mask=clean_mask,
-            bus_clean=bus_clean,
         )
         if timings is not None:
             timings.metrics_ns += time.perf_counter_ns() - mid
         outcome = EvaluatedDesign(
-            child, None, metrics, trace=state, memo=memo,
+            child, None, metrics, trace=state,
             state=state, arrays=arrays, timings=timings,
         )
         return outcome, True
@@ -251,14 +242,14 @@ class DeltaEvaluator:
         parent: EvaluatedDesign,
         move: "Transformation",
         child: "CandidateDesign",
-    ) -> Optional[Tuple[ArrayRunState, List[bool], bool]]:
+    ) -> Optional[ArrayRunState]:
         """Array-core checkpoint resume; see :meth:`try_resume`.
 
         Returns ``None`` when the incremental path cannot run (parent
         without a recorded array state -- including object-core traces
         after an engine-core switch -- unknown move type, or divergence
-        at event 0); otherwise the finished child state plus the
-        per-node clean mask (dense node order) and bus-clean flag.
+        at event 0); otherwise the finished child state, whose success
+        flag and failure reason equal a cold pass's.
         """
         state = parent.trace
         if not isinstance(state, ArrayRunState) or not state.record:
@@ -277,10 +268,7 @@ class DeltaEvaluator:
             return None
         resumed = arrays.resume_state(state, cand, d)
         arrays.run_kernel(resumed)
-        if not resumed.success:
-            return resumed, [], False
-        clean_mask, bus_clean = arrays.clean_mask(resumed, state)
-        return resumed, clean_mask, bus_clean
+        return resumed
 
     def try_resume(
         self,

@@ -85,14 +85,16 @@ class EvaluatedDesign:
 
     ``trace`` and ``memo`` are the incremental-evaluation attachments
     (present only when the engine runs in delta mode): the scheduling
-    decision sequence and the per-resource metric inputs that let a
-    *child* design -- one move away -- be evaluated from this design's
-    checkpoints instead of from scratch.  ``trace`` is duck-typed by
-    engine core: a :class:`ScheduleTrace` under the object core, an
+    decision sequence that lets a *child* design -- one move away --
+    be scheduled from this design's checkpoints instead of from
+    scratch, and (object core only) the per-resource metric inputs
+    the child's pricing reuses.  ``trace`` is duck-typed by engine
+    core: a :class:`ScheduleTrace` under the object core, an
     :class:`~repro.sched.arrays.ArrayRunState` under the array core;
     the delta evaluator dispatches on the type and treats a mismatch
-    (e.g. after an engine-core switch) as "no trace".  ``memo`` follows
-    the same split (``MetricsMemo`` / ``ArrayMetricsMemo``).
+    (e.g. after an engine-core switch) as "no trace".  Array-core
+    outcomes carry no memo: the compiled kernel prices a child cold
+    faster than a memo could be patched.
 
     Under the array core :attr:`schedule` is **lazy**: the constructor
     receives the finished array state instead of a decoded schedule,
@@ -257,14 +259,15 @@ def evaluate_candidate(
     Deterministic: equal ``(spec, design)`` always produce the same
     outcome, which both the evaluation cache and the batch evaluator
     rely on.  With ``record_trace`` the outcome additionally carries
-    the pass trace and metric memo, making it usable as the parent of
-    delta evaluations; the metric *values* are identical either way.
+    the pass trace (and, under the object core, the metric memo),
+    making it usable as the parent of delta evaluations; the metric
+    *values* are identical either way.
     ``timings`` (when given) accumulates per-stage wall time.
     """
     from repro.core.metrics import evaluate_design_delta
 
     if compiled.use_arrays:
-        from repro.core.array_metrics import evaluate_state_delta
+        from repro.core.array_metrics import evaluate_state
 
         arrays = compiled.arrays
         start = time.perf_counter_ns()
@@ -274,18 +277,11 @@ def evaluate_candidate(
             timings.sched_ns += mid - start
         if not state.success:
             return None
-        metrics, memo = evaluate_state_delta(
-            arrays, state, spec.future, spec.weights
-        )
+        metrics = evaluate_state(arrays, state, spec.future, spec.weights)
         if timings is not None:
             timings.metrics_ns += time.perf_counter_ns() - mid
-        if not record_trace:
-            return EvaluatedDesign(
-                design, None, metrics,
-                state=state, arrays=arrays, timings=timings,
-            )
         return EvaluatedDesign(
-            design, None, metrics, trace=state, memo=memo,
+            design, None, metrics, trace=state if record_trace else None,
             state=state, arrays=arrays, timings=timings,
         )
 

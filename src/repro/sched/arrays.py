@@ -931,32 +931,6 @@ class ArraySpec:
                     bus_used[occ_base[n] + r] += edge_size[mv_edge[t]]
         return st
 
-    def clean_mask(
-        self, child: ArrayRunState, parent: ArrayRunState
-    ) -> Tuple[List[bool], bool]:
-        """Per-node clean flags (dense node order) plus the bus flag.
-
-        Run-list / used-vector equality is exactly the busy-set /
-        byte-occupancy equality the object core checks, so the metric
-        layer can reuse the parent's inputs for these resources.
-        """
-        mask = [
-            child.runs_s[n] == parent.runs_s[n]
-            and child.runs_e[n] == parent.runs_e[n]
-            for n in range(len(self.node_ids))
-        ]
-        return mask, bool(np.array_equal(child.bus_used, parent.bus_used))
-
-    def clean_resources(
-        self, child: ArrayRunState, parent: ArrayRunState
-    ) -> Tuple[set, bool]:
-        """:meth:`clean_mask` with nodes as an id set (object-memo form)."""
-        mask, bus_clean = self.clean_mask(child, parent)
-        return (
-            {nid for n, nid in enumerate(self.node_ids) if mask[n]},
-            bus_clean,
-        )
-
     # ------------------------------------------------------------------
     # decode boundary
     # ------------------------------------------------------------------

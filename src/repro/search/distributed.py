@@ -74,6 +74,7 @@ from repro.search.budget import Budget, SharedBudgetExhausted, StealRequested
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused
 from repro.search.loop import EvalRequest, execute_request
 from repro.search.portfolio import (
+    MemberMeter,
     PortfolioMemberOutcome,
     PortfolioResult,
     _over_budget,
@@ -163,6 +164,7 @@ def _shard_main(
     )
     metered: bool = cfg["metered"]
     ckpt_every: int = cfg["checkpoint_every"]
+    meter = MemberMeter(evaluator)
 
     programs: Dict[int, Generator] = {}
     pending: Dict[int, EvalRequest] = {}
@@ -182,6 +184,7 @@ def _shard_main(
     def finish(m: int, result: "DesignResult") -> None:
         programs.pop(m, None)
         pending.pop(m, None)
+        meter.stamp(m, result)
         conn.send(("done", m, result, k.get(m, 0), charged.get(m, 0)))
 
     def start_member(
@@ -192,16 +195,19 @@ def _shard_main(
         since_ckpt[m] = 0
         steal_at[m] = at
         strategy = members[m]
-        if ckpt_json is None:
-            prog = strategy.search_program(spec, evaluator.compiled)
-        else:
-            wire = MemberCheckpoint.from_json(ckpt_json)
-            prog = strategy.search_program(spec, evaluator.compiled, resume=wire)
-        try:
-            first = next(prog)
-        except StopIteration as ended:
-            finish(m, ended.value)
-            return
+        with meter.turn(m):
+            if ckpt_json is None:
+                prog = strategy.search_program(spec, evaluator.compiled)
+            else:
+                wire = MemberCheckpoint.from_json(ckpt_json)
+                prog = strategy.search_program(
+                    spec, evaluator.compiled, resume=wire
+                )
+            try:
+                first = next(prog)
+            except StopIteration as ended:
+                finish(m, ended.value)
+                return
         programs[m] = prog
         pending[m] = first
 
@@ -211,45 +217,51 @@ def _shard_main(
         pending.pop(m)
         steal_at[m] = None
         steal_now.discard(m)
-        try:
-            prog.throw(StealRequested())
-        except MemberPaused as paused:
-            conn.send(("paused", m, paused.checkpoint.to_json(), k[m], charged[m]))
-        except StopIteration as ended:  # pragma: no cover - defensive
-            finish(m, ended.value)
+        with meter.turn(m):
+            try:
+                prog.throw(StealRequested())
+            except MemberPaused as paused:
+                conn.send(
+                    ("paused", m, paused.checkpoint.to_json(), k[m], charged[m])
+                )
+            except StopIteration as ended:  # pragma: no cover - defensive
+                finish(m, ended.value)
 
     def checkpoint_member(m: int) -> None:
         """Local cut + resume: ship a respawn baseline, keep running."""
         prog = programs[m]
-        try:
-            prog.throw(StealRequested())
-            return  # pragma: no cover - defensive (cut always pauses)
-        except MemberPaused as paused:
-            payload = paused.checkpoint.to_json()
-        conn.send(("checkpoint", m, payload, k[m], charged[m]))
-        since_ckpt[m] = 0
-        # Resume from the deserialized wire form -- exactly what a
-        # migrated shard would run, so this path exercises the same
-        # contract.  The bookkeeping prefix re-evaluates the stored
-        # designs (warm cache hits) and is never charged.
-        wire = MemberCheckpoint.from_json(payload)
-        prog2 = members[m].search_program(spec, evaluator.compiled, resume=wire)
-        try:
-            request = next(prog2)
-            while request.bookkeeping:
-                request = prog2.send(execute_request(evaluator, request))
-        except StopIteration as ended:  # pragma: no cover - defensive
-            finish(m, ended.value)
-            return
+        with meter.turn(m):
+            try:
+                prog.throw(StealRequested())
+                return  # pragma: no cover - defensive (cut always pauses)
+            except MemberPaused as paused:
+                payload = paused.checkpoint.to_json()
+            conn.send(("checkpoint", m, payload, k[m], charged[m]))
+            since_ckpt[m] = 0
+            # Resume from the deserialized wire form -- exactly what a
+            # migrated shard would run, so this path exercises the same
+            # contract.  The bookkeeping prefix re-evaluates the stored
+            # designs (warm cache hits) and is never charged.
+            wire = MemberCheckpoint.from_json(payload)
+            prog2 = members[m].search_program(
+                spec, evaluator.compiled, resume=wire
+            )
+            try:
+                request = next(prog2)
+                while request.bookkeeping:
+                    request = prog2.send(execute_request(evaluator, request))
+            except StopIteration as ended:  # pragma: no cover - defensive
+                finish(m, ended.value)
+                return
         programs[m] = prog2
         pending[m] = request
 
     def serve(m: int, request: EvalRequest) -> None:
-        results = execute_request(evaluator, request)
-        try:
-            pending[m] = programs[m].send(results)
-        except StopIteration as ended:
-            finish(m, ended.value)
+        with meter.turn(m):
+            try:
+                pending[m] = programs[m].send(execute_request(evaluator, request))
+            except StopIteration as ended:
+                finish(m, ended.value)
 
     def handle(msg: Tuple[Any, ...]) -> None:
         nonlocal stop
@@ -310,10 +322,13 @@ def _shard_main(
                 verdict = await_verdict(m, k[m])
                 k[m] += 1
                 if verdict == "cut":
-                    try:
-                        pending[m] = programs[m].throw(SharedBudgetExhausted())
-                    except StopIteration as ended:
-                        finish(m, ended.value)
+                    with meter.turn(m):
+                        try:
+                            pending[m] = programs[m].throw(
+                                SharedBudgetExhausted()
+                            )
+                        except StopIteration as ended:
+                            finish(m, ended.value)
                     continue
             else:
                 k[m] += 1
@@ -882,6 +897,9 @@ class _Coordinator:
             store_hits=totals.store_hits,
             store_misses=totals.store_misses,
             store_writes=totals.store_writes,
+            sched_ns=totals.sched_ns,
+            metrics_ns=totals.metrics_ns,
+            decode_ns=totals.decode_ns,
             budget_cut=self.budget_cut,
             shards=runner.shards,
             mode=runner.mode,

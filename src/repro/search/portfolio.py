@@ -29,18 +29,31 @@ deterministic lockstep over one shared :class:`DesignEvaluator`:
   never matters.
 
 Per-member engine attribution: each member's ``DesignResult`` reports
-the evaluations served on its behalf and its own ``SearchStats``;
-cache/delta counters are portfolio-level (the whole point of sharing is
-that members hit each other's entries) and live on the
-:class:`PortfolioResult`.
+the evaluations served on its behalf, its own ``SearchStats``, and the
+runtime, cache/delta/store counters and stage timers of the engine
+work done during its own turns (:class:`MemberMeter`).  The
+:class:`PortfolioResult` carries the race totals; the members' counters
+sum to them.  A member's cache hits may land on entries another member
+priced -- that is the point of sharing.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from repro.engine.engine import EngineCounters
 from repro.search.budget import Budget, BudgetProgress, SharedBudgetExhausted
 from repro.search.loop import EvalRequest, execute_request
 
@@ -82,6 +95,9 @@ class PortfolioResult:
     store_hits: int = 0
     store_misses: int = 0
     store_writes: int = 0
+    sched_ns: int = 0
+    metrics_ns: int = 0
+    decode_ns: int = 0
     runtime_seconds: float = 0.0
     budget_cut: bool = False
 
@@ -103,6 +119,54 @@ class PortfolioResult:
     @property
     def objective(self) -> float:
         return self.best.objective if self.best is not None else float("inf")
+
+
+class MemberMeter:
+    """Attributes a shared engine's work to racing members, turn by turn.
+
+    Every piece of member work -- priming its program, serving its
+    request, cutting or checkpointing it -- runs inside
+    :meth:`turn`, which charges the engine-counter difference (cache,
+    delta, store counters and the stage timers) and the wall time of
+    the turn to that member.  Work done outside turns is charged to no
+    member, so when every engine call happens in a turn the members'
+    counters sum to the engine's totals.
+    """
+
+    def __init__(self, evaluator: "DesignEvaluator") -> None:
+        self.evaluator = evaluator
+        self.work: Dict[int, EngineCounters] = {}
+        self.seconds: Dict[int, float] = {}
+        self._open: Optional[Tuple[int, EngineCounters, float]] = None
+
+    @contextmanager
+    def turn(self, member: int) -> Iterator[None]:
+        """Charge the engine work done inside the block to ``member``."""
+        self._open = (member, self.evaluator.counters(), time.perf_counter())
+        try:
+            yield
+        finally:
+            work, seconds = self.charged(member)
+            self.work[member] = work
+            self.seconds[member] = seconds
+            self._open = None
+
+    def charged(self, member: int) -> Tuple[EngineCounters, float]:
+        """``member``'s counters and seconds so far, open turn included."""
+        work = self.work.get(member, EngineCounters(0, 0, 0, 0, 0))
+        seconds = self.seconds.get(member, 0.0)
+        if self._open is not None and self._open[0] == member:
+            _, before, started = self._open
+            work = work + (self.evaluator.counters() - before)
+            seconds += time.perf_counter() - started
+        return work, seconds
+
+    def stamp(self, member: int, result: "DesignResult") -> "DesignResult":
+        """Write ``member``'s runtime and engine counters into ``result``."""
+        work, seconds = self.charged(member)
+        result.record_counters(work)
+        result.runtime_seconds = seconds
+        return result
 
 
 class PortfolioRunner:
@@ -187,6 +251,9 @@ class PortfolioRunner:
                 store_hits=counters.store_hits,
                 store_misses=counters.store_misses,
                 store_writes=counters.store_writes,
+                sched_ns=counters.sched_ns,
+                metrics_ns=counters.metrics_ns,
+                decode_ns=counters.decode_ns,
                 budget_cut=budget_cut,
             )
         result.winner_index = _pick_winner(result.members)
@@ -201,6 +268,7 @@ class PortfolioRunner:
         started = time.perf_counter()
         served_evaluations = 0
         budget_cut = False
+        meter = MemberMeter(evaluator)
 
         names = _unique_names(self.members)
         programs = []
@@ -222,10 +290,11 @@ class PortfolioRunner:
             outcomes[index] = PortfolioMemberOutcome(
                 name=names[index], index=index, result=None
             )
-            try:
-                pending[index] = next(program)
-            except StopIteration as stop:
-                finish(index, stop.value)
+            with meter.turn(index):
+                try:
+                    pending[index] = next(program)
+                except StopIteration as stop:
+                    finish(index, stop.value)
 
         # Lockstep rounds: serve one request per live member, in order.
         while any(program is not None for program in programs):
@@ -241,27 +310,32 @@ class PortfolioRunner:
                     request.size,
                     time.perf_counter() - started,
                 )
-                try:
-                    if cut:
-                        budget_cut = True
-                        pending[index] = program.throw(SharedBudgetExhausted())
-                    else:
-                        if not request.bookkeeping:
-                            # Checkpoint-resume re-evaluations replay
-                            # work already charged before a cut; serving
-                            # them free keeps a resumed member's budget
-                            # trajectory identical to the uninterrupted
-                            # run's (the distributed race relies on it).
-                            served_evaluations += request.size
-                            outcome.evaluations_served += request.size
-                        pending[index] = program.send(
-                            execute_request(evaluator, request)
-                        )
-                except StopIteration as stop:
-                    finish(index, stop.value)
+                with meter.turn(index):
+                    try:
+                        if cut:
+                            budget_cut = True
+                            pending[index] = program.throw(
+                                SharedBudgetExhausted()
+                            )
+                        else:
+                            if not request.bookkeeping:
+                                # Checkpoint-resume re-evaluations
+                                # replay work already charged before a
+                                # cut; serving them free keeps a
+                                # resumed member's budget trajectory
+                                # identical to the uninterrupted run's
+                                # (the distributed race relies on it).
+                                served_evaluations += request.size
+                                outcome.evaluations_served += request.size
+                            pending[index] = program.send(
+                                execute_request(evaluator, request)
+                            )
+                    except StopIteration as stop:
+                        finish(index, stop.value)
 
         final: List[PortfolioMemberOutcome] = []
         for outcome in outcomes:
+            meter.stamp(outcome.index, outcome.result)
             if outcome.result.valid and outcome.evaluations_served > 0:
                 outcome.result.evaluations = outcome.evaluations_served
             final.append(outcome)

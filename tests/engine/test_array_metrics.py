@@ -4,9 +4,9 @@ The contract under test: :mod:`repro.core.array_metrics` prices a
 finished :class:`~repro.sched.arrays.ArrayRunState` **byte-identically**
 to the pinned object kernel pricing the decoded schedule -- every
 metric value, the objective, and failure reporting match across all
-registered scenario families, through chained delta generations (memo
-reuse), under every binpack policy, with the cache on or off and with
-``--jobs 2``.  Plus the lazy-decode boundary: the hot path never builds
+registered scenario families, through chained delta generations and
+delta-resumed states, under every binpack policy, with the cache on or
+off and with ``--jobs 2``.  Plus the lazy-decode boundary: the hot path never builds
 an object schedule, :attr:`EvaluatedDesign.schedule` decodes on demand
 (also after a pickle round trip and for columnless states), and
 :meth:`ArraySpec.decode_schedule` refuses columnless states loudly.
@@ -25,9 +25,10 @@ from repro.core.binpack import best_fit, best_fit_unplaced_total_hist
 from repro.core.initial_mapping import InitialMapper
 from repro.core.mapping_heuristic import MappingHeuristic
 from repro.core.array_metrics import (
-    ArrayMetricsMemo,
     evaluate_state,
     evaluate_state_delta,
+    price_counts,
+    price_counts_python,
 )
 from repro.core.metrics import ObjectiveWeights, evaluate_design
 from repro.core.simulated_annealing import SimulatedAnnealing
@@ -156,14 +157,15 @@ def test_failure_reasons_without_decode():
 
 
 # ----------------------------------------------------------------------
-# delta generations: memo chaining parent -> child -> grandchild
+# delta generations: resumed parent -> child -> grandchild
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("family_name", families.family_names())
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
 def test_chained_delta_generations_stay_identical(family_name, data):
-    """Random move chains reusing the parent memo at every generation
-    price exactly like a cold object evaluation of the same design."""
+    """Random move chains, each child resumed from its parent's
+    checkpoints, price exactly like a cold object evaluation of the
+    same design (array outcomes chain no metric memo)."""
     spec, compiled_obj, compiled_arr, scheduler, design = _cell(family_name)
     arrays = compiled_arr.arrays
     delta = DeltaEvaluator(compiled_arr, scheduler)
@@ -171,7 +173,7 @@ def test_chained_delta_generations_stay_identical(family_name, data):
         spec, compiled_arr, scheduler, design, record_trace=True
     )
     assert parent is not None
-    assert isinstance(parent.memo, ArrayMetricsMemo)
+    assert parent.memo is None
     pids = [p.id for p in spec.current.processes]
     messages = [m.id for m in spec.current.messages]
     current = parent
@@ -214,37 +216,42 @@ def test_chained_delta_generations_stay_identical(family_name, data):
         if cold is None:
             continue
         assert out.metrics == cold.metrics
-        assert isinstance(out.memo, ArrayMetricsMemo)
+        assert out.memo is None
+        assert price_counts(
+            arrays, out.trace, spec.future
+        ) == price_counts_python(arrays, out.trace, spec.future)
         current = out
 
 
-def test_clean_mask_reuse_matches_cold_pricing():
-    """Pricing with the parent memo + clean mask equals cold pricing of
-    the same state (the memo never leaks stale inputs)."""
+def test_resumed_state_prices_like_cold_state():
+    """A child state resumed from the parent's checkpoints prices
+    exactly like the same child scheduled cold (nothing of the
+    parent's occupancy leaks into the price)."""
     spec, compiled_obj, compiled_arr, scheduler, design = _cell("pipeline")
     arrays = compiled_arr.arrays
-    parent_state = arrays.schedule_design(design, record=True)
-    assert parent_state.success
-    _, parent_memo = evaluate_state_delta(
-        arrays, parent_state, spec.future, spec.weights
+    delta = DeltaEvaluator(compiled_arr, scheduler)
+    parent = evaluate_candidate(
+        spec, compiled_arr, scheduler, design, record_trace=True
     )
+    assert parent is not None
+    pids = [p.id for p in spec.current.processes]
     compared = 0
-    for child in _neighbourhood(spec, design)[1:16]:
-        state = arrays.schedule_design(child, columns=True)
-        if not state.success:
+    for move in list(remap_moves(design.mapping, pids))[:15]:
+        child = move.apply(design)
+        resumed = delta.try_resume_arrays(parent, move, child)
+        if resumed is None or not resumed.success:
             continue
-        mask, bus_clean = arrays.clean_mask(state, parent_state)
-        with_memo, _ = evaluate_state_delta(
-            arrays,
-            state,
-            spec.future,
-            spec.weights,
-            parent_memo=parent_memo,
-            clean_mask=mask,
-            bus_clean=bus_clean,
+        cold = arrays.schedule_design(child)
+        assert price_counts(
+            arrays, resumed, spec.future
+        ) == price_counts_python(arrays, cold, spec.future)
+        metrics, memo = evaluate_state_delta(
+            arrays, resumed, spec.future, spec.weights
         )
-        cold, _ = evaluate_state_delta(arrays, state, spec.future, spec.weights)
-        assert with_memo == cold
+        assert memo is None
+        assert metrics == evaluate_state(
+            arrays, cold, spec.future, spec.weights
+        )
         compared += 1
     assert compared > 0
 
