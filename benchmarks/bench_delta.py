@@ -4,22 +4,23 @@ Per scenario family (medium preset), one MH-style neighbourhood of the
 Initial-Mapping design is evaluated three ways:
 
 * **delta** -- through :class:`repro.engine.delta.DeltaEvaluator`:
-  each child is rescheduled from the parent's trace checkpoints and
-  its metrics reuse every clean resource;
-* **cold** -- the engine's optimized full evaluation (what
-  ``--no-delta`` runs): compiled scheduling plus the memoized metric
-  core, evaluated from scratch per candidate;
-* **scratch** -- the pre-kernel evaluation shape: compiled scheduling
-  plus the original from-scratch component metrics
+  each child is rescheduled by the array kernel from the parent's
+  column-trace checkpoints and priced by the compiled metric kernel;
+* **cold** -- the engine's full evaluation (what ``--no-delta``
+  runs): the array pass from scratch plus the same pricing, per
+  candidate;
+* **scratch** -- the object kernel, the tests' oracle: the object list
+  scheduler plus the original from-scratch component metrics
   (``metric_c1p``/``metric_c1m``/``metric_c2p``/``metric_c2m``), i.e.
   a full rescheduling *and* full metric recomputation per candidate,
-  with none of the kernel's reuse.  (The component functions keep
-  their original implementations and are pinned to the fast core by
+  with none of the runtime's fast paths.  (The component functions
+  keep their original implementations and are pinned to
+  :func:`~repro.core.metrics.evaluate_design` by
   ``tests/core/test_metrics.py``.)
 
 The headline number is the per-candidate median speedup of delta over
-scratch; delta over cold isolates what checkpoint resumes and dirty-set
-metric reuse buy on top of the shared fast paths.  Each benchmark also
+scratch; delta over cold isolates what checkpoint resumes buy on top
+of the shared array paths.  Each benchmark also
 asserts a minimum delta hit rate, so CI's ``--benchmark-disable`` smoke
 run catches a kernel that silently regresses to full rescheduling.
 
@@ -75,15 +76,13 @@ def _context(family_name: str):
     spec = scenario.spec()
     compiled = CompiledSpec(spec)
     scheduler = ListScheduler(spec.architecture)
-    delta = DeltaEvaluator(compiled, scheduler)
+    delta = DeltaEvaluator(compiled)
     mapper = InitialMapper(spec.architecture)
     mapping, _ = mapper.try_map_and_schedule(
         spec.current, base=spec.base_schedule, compiled=compiled
     )
     parent = evaluate_candidate(
-        spec,
         compiled,
-        scheduler,
         CandidateDesign(mapping, dict(compiled.default_priorities)),
         record_trace=True,
     )
@@ -142,7 +141,7 @@ def _speedup_info(family_name):
     )
     median_cold = _per_candidate(
         lambda move: evaluate_candidate(
-            spec, compiled, scheduler, children[move], record_trace=True
+            compiled, children[move], record_trace=True
         ),
         moves,
     )
@@ -200,7 +199,7 @@ def test_cold_neighbourhood(benchmark, family_name):
 
     def run():
         for child in children:
-            evaluate_candidate(spec, compiled, scheduler, child)
+            evaluate_candidate(compiled, child)
 
     benchmark(run)
     benchmark.extra_info["family"] = family_name

@@ -5,14 +5,13 @@ neighbourhood of the Initial-Mapping design is *fully evaluated* --
 scheduling pass plus metric pricing, the complete per-candidate cost a
 search loop pays -- three ways:
 
-* **array** -- :func:`repro.engine.evaluation.evaluate_candidate` under
-  the array core: columnless structure-of-arrays pass, metrics priced
+* **array** -- :func:`repro.engine.evaluation.evaluate_candidate`, the
+  runtime path: columnless structure-of-arrays pass, metrics priced
   directly on the state's columns (:mod:`repro.core.array_metrics`),
-  **no** object-schedule decode (what ``--engine-core array`` runs per
-  candidate since the array-native metric kernel);
-* **object** -- the same function under the pinned object core:
-  ``ListScheduler.try_schedule`` plus the object metric kernel (what
-  ``--engine-core object`` runs per candidate);
+  **no** object-schedule decode;
+* **object** -- the object kernel the tests use as the oracle, called
+  directly: ``ListScheduler.try_schedule`` over the compiled job table
+  plus :func:`repro.core.metrics.evaluate_design`;
 * **decode-always** -- the pre-array-metrics shape of the array core:
   the array pass with trace columns, an object-schedule decode per
   candidate, and the object metric kernel over the decoded schedule.
@@ -83,34 +82,40 @@ def _context(preset: str, family_name: str = "uniform-baseline"):
     family = families.get_family(family_name)
     scenario = family.build(preset, seed=1)
     spec = scenario.spec()
-    compiled_array = CompiledSpec(spec, engine_core="array")
-    compiled_object = CompiledSpec(spec, engine_core="object")
-    arrays = compiled_array.arrays
+    compiled = CompiledSpec(spec)
+    arrays = compiled.arrays
     scheduler = ListScheduler(spec.architecture)
     mapper = InitialMapper(spec.architecture)
     mapping, _ = mapper.try_map_and_schedule(
-        spec.current, base=spec.base_schedule, compiled=compiled_array
+        spec.current, base=spec.base_schedule, compiled=compiled
     )
     parent = evaluate_candidate(
-        spec,
-        compiled_array,
-        scheduler,
-        CandidateDesign(mapping, dict(compiled_array.default_priorities)),
+        compiled,
+        CandidateDesign(mapping, dict(compiled.default_priorities)),
         record_trace=True,
     )
     moves = generate_moves(spec, parent, DescentParams(pool_size=8))
     children = [move.apply(parent.design) for move in moves]
-    context = (spec, compiled_array, compiled_object, arrays, scheduler, children)
+    context = (spec, compiled, arrays, scheduler, children)
     _CONTEXTS[family_name, preset] = context
     return context
 
 
-def _evaluate_array(spec, compiled_array, scheduler, child):
-    return evaluate_candidate(spec, compiled_array, scheduler, child)
+def _evaluate_array(compiled, child):
+    return evaluate_candidate(compiled, child)
 
 
-def _evaluate_object(spec, compiled_object, scheduler, child):
-    return evaluate_candidate(spec, compiled_object, scheduler, child)
+def _evaluate_object(spec, compiled, scheduler, child):
+    result = scheduler.try_schedule(
+        spec.current,
+        child.mapping,
+        priorities=child.priorities,
+        message_delays=child.message_delays,
+        compiled=compiled,
+    )
+    if not result.success:
+        return None
+    return evaluate_design(result.schedule, spec.future, spec.weights)
 
 
 def _evaluate_decode_always(spec, arrays, child):
@@ -145,17 +150,13 @@ def _timed_once(fn, item):
 
 def _speedup_info(preset: str):
     """Per-candidate medians and speedups for ``extra_info``."""
-    spec, compiled_array, compiled_object, arrays, scheduler, children = (
-        _context(preset)
-    )
+    spec, compiled, arrays, scheduler, children = _context(preset)
     median_array = _per_candidate(
-        lambda child: _evaluate_array(spec, compiled_array, scheduler, child),
+        lambda child: _evaluate_array(compiled, child),
         children,
     )
     median_object = _per_candidate(
-        lambda child: _evaluate_object(
-            spec, compiled_object, scheduler, child
-        ),
+        lambda child: _evaluate_object(spec, compiled, scheduler, child),
         children,
     )
     median_decode = _per_candidate(
@@ -174,24 +175,19 @@ def _speedup_info(preset: str):
 @pytest.mark.parametrize("preset", BENCH_PRESETS)
 def test_array_evaluation(benchmark, preset):
     """The array evaluation path over one neighbourhood, end to end."""
-    spec, compiled_array, compiled_object, arrays, scheduler, children = (
-        _context(preset)
-    )
+    spec, compiled, arrays, scheduler, children = _context(preset)
 
     def run():
         ok = 0
         for child in children:
-            ok += (
-                _evaluate_array(spec, compiled_array, scheduler, child)
-                is not None
-            )
+            ok += _evaluate_array(compiled, child) is not None
         return ok
 
     benchmark(run)
     info = _speedup_info(preset)
     benchmark.extra_info["eval_record"] = "array"
     benchmark.extra_info["preset"] = preset
-    benchmark.extra_info["scenario_jobs"] = compiled_array.total_jobs
+    benchmark.extra_info["scenario_jobs"] = compiled.total_jobs
     benchmark.extra_info.update(info)
     if preset == "medium":
         assert info["speedup_vs_decode_always"] >= MIN_EVAL_SPEEDUP, (
@@ -203,27 +199,23 @@ def test_array_evaluation(benchmark, preset):
 
 @pytest.mark.parametrize("preset", BENCH_PRESETS)
 def test_object_evaluation(benchmark, preset):
-    """The same neighbourhood through the pinned object core."""
-    spec, compiled_array, compiled_object, arrays, scheduler, children = (
-        _context(preset)
-    )
+    """The same neighbourhood through the object kernel (the oracle)."""
+    spec, compiled, arrays, scheduler, children = _context(preset)
 
     def run():
         for child in children:
-            _evaluate_object(spec, compiled_object, scheduler, child)
+            _evaluate_object(spec, compiled, scheduler, child)
 
     benchmark(run)
     benchmark.extra_info["eval_record"] = "object"
     benchmark.extra_info["preset"] = preset
-    benchmark.extra_info["scenario_jobs"] = compiled_object.total_jobs
+    benchmark.extra_info["scenario_jobs"] = compiled.total_jobs
 
 
 @pytest.mark.parametrize("preset", BENCH_PRESETS)
 def test_decode_always_evaluation(benchmark, preset):
     """The pre-array-metrics shape: decode + object metrics per candidate."""
-    spec, compiled_array, compiled_object, arrays, scheduler, children = (
-        _context(preset)
-    )
+    spec, compiled, arrays, scheduler, children = _context(preset)
 
     def run():
         for child in children:
@@ -232,13 +224,13 @@ def test_decode_always_evaluation(benchmark, preset):
     benchmark(run)
     benchmark.extra_info["eval_record"] = "decode-always"
     benchmark.extra_info["preset"] = preset
-    benchmark.extra_info["scenario_jobs"] = compiled_array.total_jobs
+    benchmark.extra_info["scenario_jobs"] = compiled.total_jobs
 
 
 @pytest.mark.parametrize("family_name", PRICING_FAMILIES)
 def test_pricing_kernels(benchmark, family_name):
     """Compiled vs pure-Python integer core over finished states."""
-    spec, _, _, arrays, _, children = _context("medium", family_name)
+    spec, _, arrays, _, children = _context("medium", family_name)
     future = spec.future
     states = [
         state

@@ -2,15 +2,15 @@
 
 Per uniform-baseline preset (tiny/small/medium), one MH-style
 neighbourhood of the Initial-Mapping design is *scheduled* three ways
--- scheduling only, no metrics, because the metric kernel is shared by
-both cores and would dilute the comparison (Amdahl):
+-- scheduling only, no metrics, so pricing does not dilute the
+comparison (Amdahl):
 
 * **array** -- :meth:`repro.sched.arrays.ArraySpec.schedule_design`:
   the structure-of-arrays kernel with integer heap keys and column
-  traces (what ``--engine-core array`` runs per candidate);
+  traces (the runtime scheduler);
 * **object** -- ``ListScheduler.try_schedule`` against the compiled
-  spec with trace recording (what ``--engine-core object`` runs per
-  candidate);
+  spec with trace recording (the object kernel the tests use as the
+  oracle, called directly);
 * **scratch** -- ``try_schedule`` without a compiled spec: the
   job-table and base-template compilation repeated per candidate (the
   pre-``CompiledSpec`` evaluation shape).
@@ -66,9 +66,7 @@ def _context(preset: str):
         spec.current, base=spec.base_schedule, compiled=compiled
     )
     parent = evaluate_candidate(
-        spec,
         compiled,
-        scheduler,
         CandidateDesign(mapping, dict(compiled.default_priorities)),
         record_trace=True,
     )

@@ -41,7 +41,6 @@ class AdHocStrategy:
     use_cache: bool = True
     jobs: int = 1
     use_delta: bool = True
-    engine_core: str = "array"
     cache_store: str = "memory"
     cache_path: Optional[str] = None
     budget: Optional[Budget] = None
@@ -55,8 +54,7 @@ class AdHocStrategy:
     def design(self, spec: DesignSpec) -> DesignResult:
         """Run IM once and report its design as-is."""
         with DesignEvaluator(
-            spec, use_cache=False, use_delta=False,
-            engine_core=self.engine_core,
+            spec, use_cache=False, use_delta=False
         ) as evaluator:
             return self._design(spec, evaluator.compiled)
 

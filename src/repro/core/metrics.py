@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -145,65 +145,18 @@ class ObjectiveWeights:
             )
 
 
-@dataclass
-class NodeSlackData:
-    """Per-node slack inputs of the metrics, cacheable across designs.
-
-    Attributes
-    ----------
-    containers:
-        Gap lengths of the node's slack (the node's contribution to the
-        C1P bin-packing containers, in gap order).
-    window_slacks:
-        Free time of the node inside each consecutive ``T_min`` window
-        (the node's C2P column).
-    window_min:
-        ``min(window_slacks)`` -- the node's C2P contribution.
-    """
-
-    containers: List[int]
-    window_slacks: List[int]
-    window_min: int
-
-
-@dataclass
-class MetricsMemo:
-    """Per-resource metric inputs and values of one evaluated design.
-
-    Delta evaluation stores this next to the schedule: a child design
-    whose timeline on a node (or the bus) is byte-identical to its
-    parent's reuses the parent's slack data -- and, when *every*
-    resource a metric depends on is unchanged, the metric value itself
-    -- instead of re-extracting gaps, window profiles and bin
-    packings.  A dirty bus is patched sparsely: the child's residual
-    vector is the parent's plus the (tiny) per-occurrence occupancy
-    diff.  Reuse is exact by construction: a resource only counts as
-    clean when its busy time (or the bus's byte occupancy) equals the
-    parent's, and each metric is a pure function of those inputs.
-
-    ``bus_residuals`` is the *unfiltered* free-byte vector over all
-    slot occurrences in window-start order (a numpy array, shared
-    never mutated).
-    """
-
-    nodes: Dict[str, NodeSlackData]
-    bus_residuals: "np.ndarray"
-    bus_window_free: List[int]
-    c1p: float
-    c1m: float
-    c2m: int
-
-
 def _node_slack_data(
     schedule: SystemSchedule, node_id: str, windows: List
-) -> NodeSlackData:
-    """Extract one node's metric inputs (gaps >= 1 and window slacks).
+) -> Tuple[List[int], int]:
+    """Extract one node's metric inputs: slack gaps and C2P share.
 
     One pass over the node's canonical busy runs yields both the gap
-    lengths (the complement inside the horizon) and the per-window
-    busy time; equivalent to :meth:`SystemSchedule.slack_gaps` plus
-    per-window :meth:`SystemSchedule.slack_within`, without building
-    interval objects per evaluation.
+    lengths (the complement inside the horizon, in gap order -- the
+    node's C1P bin-packing containers) and the per-window busy time,
+    whose worst window is the node's C2P contribution; equivalent to
+    :meth:`SystemSchedule.slack_gaps` plus per-window
+    :meth:`SystemSchedule.slack_within`, without building interval
+    objects per evaluation.
     """
     horizon = schedule.horizon
     width = windows[0].length
@@ -225,14 +178,10 @@ def _node_slack_data(
             k += 1
     if cursor < horizon:
         containers.append(horizon - cursor)
-    window_slacks = [
+    window_min = min(
         window.length - used for window, used in zip(windows, busy)
-    ]
-    return NodeSlackData(
-        containers=containers,
-        window_slacks=window_slacks,
-        window_min=min(window_slacks),
     )
+    return containers, window_min
 
 
 @lru_cache(maxsize=64)
@@ -357,76 +306,22 @@ def evaluate_design(
     """Compute all four metrics and the combined objective ``C``.
 
     Smaller is better; 0 means the design leaves ideal room for the
-    characterized future family.
-    """
-    metrics, _ = evaluate_design_delta(schedule, future, weights)
-    return metrics
-
-
-def evaluate_design_delta(
-    schedule: SystemSchedule,
-    future: FutureCharacterization,
-    weights: Optional[ObjectiveWeights] = None,
-    parent_memo: Optional[MetricsMemo] = None,
-    clean_nodes: Collection[str] = (),
-    bus_clean: bool = False,
-    parent_bus=None,
-) -> Tuple[DesignMetrics, MetricsMemo]:
-    """:func:`evaluate_design` with per-resource slack-input reuse.
-
-    The single metric core every evaluation path shares: cold
-    evaluation calls it with no parent (every resource recomputed);
-    delta evaluation passes the parent's :class:`MetricsMemo` plus the
-    set of *clean* resources -- nodes (and the bus) whose timeline is
-    byte-identical to the parent's -- whose slack extraction is then
-    skipped.  A dirty bus with a known parent (``parent_bus``) is
-    patched sparsely from the occupancy diff instead of re-extracted.
-    The mixing steps (bin packing, window minima, the objective)
-    always recompute from the per-resource inputs, so the returned
-    metrics are exactly those of a cold evaluation.
-
-    Returns the metrics together with the design's own memo (for use
-    as a parent later).
+    characterized future family.  This is the from-scratch object
+    kernel (cached sorted bags, lean best-fit packing, single-pass
+    slack extraction); the component functions
+    :func:`metric_c1p`/:func:`metric_c1m`/:func:`metric_c2p`/
+    :func:`metric_c2m` compute the same values the textbook way.
     """
     if weights is None:
         weights = ObjectiveWeights()
     windows = periodic_windows(schedule.horizon, future.t_min)
     node_ids = schedule.architecture.node_ids
-
-    all_nodes_clean = parent_memo is not None
-    node_data: Dict[str, NodeSlackData] = {}
-    for node_id in node_ids:
-        if parent_memo is not None and node_id in clean_nodes:
-            node_data[node_id] = parent_memo.nodes[node_id]
-        else:
-            node_data[node_id] = _node_slack_data(schedule, node_id, windows)
-            all_nodes_clean = False
-    bus_clean = parent_memo is not None and bus_clean
-    if bus_clean:
-        bus_residuals = parent_memo.bus_residuals
-        bus_window_free = parent_memo.bus_window_free
-    elif parent_memo is not None and parent_bus is not None:
-        # Sparse patch: start from the parent's residual vector and
-        # apply the per-occurrence occupancy differences.
-        _, position, window_index, _ = _bus_geometry(
-            schedule.bus.bus, schedule.horizon, future.t_min
-        )
-        bus_residuals = parent_memo.bus_residuals.copy()
-        bus_window_free = list(parent_memo.bus_window_free)
-        for key, delta_used in schedule.bus.occupancy_diff(parent_bus):
-            i = position[key]
-            bus_residuals[i] -= delta_used
-            w = window_index[i]
-            if w >= 0:
-                bus_window_free[w] -= delta_used
-    else:
-        bus_residuals, bus_window_free = _bus_slack_data(
-            schedule, future.t_min
-        )
+    node_data = [
+        _node_slack_data(schedule, node_id, windows) for node_id in node_ids
+    ]
+    bus_residuals, bus_window_free = _bus_slack_data(schedule, future.t_min)
 
     # First criterion: bin-pack the future bags into the slack.  The
-    # packed value is a pure function of the container lists, so it is
-    # reused verbatim when every contributing resource is clean.  The
     # default best-fit policy goes through the lean unplaced-total
     # kernel; the ablation policies take the generic packer.
     lean = weights.binpack_policy == "best-fit"
@@ -439,13 +334,11 @@ def evaluate_design_delta(
         message_total,
         message_min,
     ) = _packing_inputs(future, schedule.horizon)
-    if all_nodes_clean:
-        c1p = parent_memo.c1p
-    elif process_bag:
+    if process_bag:
         containers = [
             length
-            for node_id in node_ids
-            for length in node_data[node_id].containers
+            for gaps, _ in node_data
+            for length in gaps
             if length >= process_min
         ]
         if lean:
@@ -457,31 +350,21 @@ def evaluate_design_delta(
         c1p = 100.0 * unplaced_total / process_total
     else:
         c1p = 0.0
-    if bus_clean:
-        c1m = parent_memo.c1m
-        c2m = parent_memo.c2m
-    else:
-        if message_bag:
-            eligible = bus_residuals[bus_residuals >= message_min]
-            if lean:
-                unplaced_total = best_fit_unplaced_total(message_bag, eligible)
-            else:
-                unplaced_total = sum(
-                    pack(
-                        message_bag, eligible.tolist(), decreasing=False
-                    ).unplaced
-                )
-            c1m = 100.0 * unplaced_total / message_total
+    if message_bag:
+        eligible = bus_residuals[bus_residuals >= message_min]
+        if lean:
+            unplaced_total = best_fit_unplaced_total(message_bag, eligible)
         else:
-            c1m = 0.0
-        c2m = int(min(bus_window_free))
+            unplaced_total = sum(
+                pack(message_bag, eligible.tolist(), decreasing=False).unplaced
+            )
+        c1m = 100.0 * unplaced_total / message_total
+    else:
+        c1m = 0.0
+    c2m = int(min(bus_window_free))
 
     # Second criterion: worst-window slack per node, summed.
-    c2p = sum(node_data[n].window_min for n in node_ids)
-
-    memo = MetricsMemo(
-        node_data, bus_residuals, bus_window_free, c1p, c1m, c2m
-    )
+    c2p = sum(window_min for _, window_min in node_data)
 
     pen2p = max(0.0, float(future.t_need - c2p))
     pen2m = max(0.0, float(future.b_need - c2m))
@@ -497,4 +380,4 @@ def evaluate_design_delta(
         + weights.w2p * pen2p
         + weights.w2m * pen2m
     )
-    return DesignMetrics(c1p, c1m, c2p, c2m, pen2p, pen2m, objective), memo
+    return DesignMetrics(c1p, c1m, c2p, c2m, pen2p, pen2m, objective)

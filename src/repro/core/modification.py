@@ -110,7 +110,6 @@ def design_with_modifications(
     max_modified: Optional[int] = None,
     jobs: int = 1,
     use_delta: bool = True,
-    engine_core: str = "array",
     cache_store: str = "memory",
     cache_path: Optional[str] = None,
     budget: Optional[Budget] = None,
@@ -150,9 +149,6 @@ def design_with_modifications(
         with ``k``, so the delta kernel's checkpoint resumes pay off
         more the deeper the greedy search goes.  Results are identical
         with it off.
-    engine_core:
-        Scheduler core (``"array"`` or ``"object"``) of every subset
-        attempt's evaluation engine; results are byte-identical.
     cache_store / cache_path:
         Result-store backend of every subset attempt's evaluation
         engine (``"memory"`` or ``"sqlite"`` at ``cache_path``); the
@@ -186,7 +182,6 @@ def design_with_modifications(
         max_modified = len(existing)
     strategy_kwargs.setdefault("jobs", jobs)
     strategy_kwargs.setdefault("use_delta", use_delta)
-    strategy_kwargs.setdefault("engine_core", engine_core)
     strategy_kwargs.setdefault("cache_store", cache_store)
     strategy_kwargs.setdefault("cache_path", cache_path)
     if budget is not None:

@@ -116,7 +116,6 @@ class SimulatedAnnealing:
     jobs: int = 1
     max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES
     use_delta: bool = True
-    engine_core: str = "array"
     cache_store: str = "memory"
     cache_path: Optional[str] = None
     budget: Optional[Budget] = None
@@ -136,7 +135,6 @@ class SimulatedAnnealing:
             jobs=self.jobs,
             max_cache_entries=self.max_cache_entries,
             use_delta=self.use_delta,
-            engine_core=self.engine_core,
             cache_store=self.cache_store,
             cache_path=self.cache_path,
         ) as evaluator:

@@ -193,11 +193,6 @@ class DesignEvaluator:
     use_delta:
         Enable the incremental (move-aware) evaluation kernel; results
         are bit-identical either way (the ``--no-delta`` escape hatch).
-    engine_core:
-        ``"array"`` (the default here) runs the structure-of-arrays
-        scheduler kernel; ``"object"`` the pinned object-graph
-        reference.  Byte-identical results; the CLI's
-        ``--engine-core`` switch.
     cache_store:
         ``"memory"`` (the default) keeps memoized outcomes in the
         process-local LRU; ``"sqlite"`` backs that LRU with a
@@ -221,7 +216,6 @@ class DesignEvaluator:
         max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
         parallel_threshold: Optional[int] = None,
         use_delta: bool = True,
-        engine_core: str = "array",
         cache_store: str = "memory",
         cache_path: Optional[str] = None,
         store_read_only: bool = False,
@@ -234,7 +228,6 @@ class DesignEvaluator:
             max_cache_entries=max_cache_entries,
             parallel_threshold=parallel_threshold,
             use_delta=use_delta,
-            engine_core=engine_core,
             cache_store=cache_store,
             cache_path=cache_path,
             store_read_only=store_read_only,

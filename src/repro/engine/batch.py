@@ -37,7 +37,6 @@ from repro.engine.evaluation import (
     StageTimings,
     evaluate_candidate,
 )
-from repro.sched.list_scheduler import ListScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.strategy import DesignSpec
@@ -56,8 +55,8 @@ CHUNKS_PER_WORKER = 4
 #: Parents each worker keeps resident for delta evaluation.
 WORKER_PARENT_CAPACITY = 8
 
-#: Per-worker state: ``(spec, compiled, scheduler, delta, parents,
-#: timings, store)``, built once by the pool initializer so each
+#: Per-worker state: ``(spec, compiled, delta, parents, timings,
+#: store)``, built once by the pool initializer so each
 #: worker compiles the problem exactly once.  ``parents`` is the LRU
 #: of resident parents; ``timings`` the worker's stage-time sink,
 #: whose deltas ride back on every chunk result; ``store`` the
@@ -98,7 +97,6 @@ def dispatch_chunksize(
 def _init_worker(
     spec: "DesignSpec",
     use_delta: bool,
-    engine_core: str,
     store_path: Optional[str] = None,
     store_scenario: Optional[str] = None,
 ) -> None:
@@ -111,12 +109,9 @@ def _init_worker(
     read-through cannot perturb what gets committed or in what order.
     """
     global _WORKER_STATE
-    compiled = CompiledSpec(spec, engine_core=engine_core)
-    scheduler = ListScheduler(spec.architecture)
+    compiled = CompiledSpec(spec)
     timings = StageTimings()
-    delta = (
-        DeltaEvaluator(compiled, scheduler, timings) if use_delta else None
-    )
+    delta = DeltaEvaluator(compiled, timings) if use_delta else None
     store = None
     if store_path is not None and os.path.exists(store_path):
         from repro.engine.store import SqliteResultStore
@@ -128,9 +123,7 @@ def _init_worker(
             read_only=True,
         )
         store = candidate if candidate.persistent else None
-    _WORKER_STATE = (
-        spec, compiled, scheduler, delta, OrderedDict(), timings, store
-    )
+    _WORKER_STATE = (spec, compiled, delta, OrderedDict(), timings, store)
 
 
 def _evaluate_payload(
@@ -149,7 +142,7 @@ def _evaluate_payload(
     from repro.model.mapping import Mapping
 
     assert _WORKER_STATE is not None, "worker initializer did not run"
-    spec, compiled, scheduler, delta, _, timings, store = _WORKER_STATE
+    spec, compiled, delta, _, timings, store = _WORKER_STATE
     assignment, priorities, delays = payload
     design = CandidateDesign(
         Mapping(spec.current, spec.architecture, assignment),
@@ -162,12 +155,7 @@ def _evaluate_payload(
             return outcome, (0, 0, 0), True
     before = timings.snapshot()
     outcome = evaluate_candidate(
-        spec,
-        compiled,
-        scheduler,
-        design,
-        record_trace=delta is not None,
-        timings=timings,
+        compiled, design, record_trace=delta is not None, timings=timings
     )
     return outcome, timings.since(before), False
 
@@ -186,7 +174,7 @@ def _resident_parent(
     from repro.core.transformations import CandidateDesign
     from repro.model.mapping import Mapping
 
-    spec, compiled, scheduler, delta, parents, timings, _ = _WORKER_STATE
+    spec, compiled, delta, parents, timings, _ = _WORKER_STATE
     parent = parents.get(signature, _ABSENT)
     if parent is not _ABSENT:
         parents.move_to_end(signature)
@@ -198,7 +186,7 @@ def _resident_parent(
         dict(delays),
     )
     parent = evaluate_candidate(
-        spec, compiled, scheduler, design, record_trace=True, timings=timings
+        compiled, design, record_trace=True, timings=timings
     )
     parents[signature] = parent
     if len(parents) > WORKER_PARENT_CAPACITY:
@@ -217,7 +205,7 @@ def _evaluate_move_chunk(
     hit/fallback counts and stage-time deltas for this chunk.
     """
     assert _WORKER_STATE is not None, "worker initializer did not run"
-    spec, compiled, scheduler, delta, _, timings, _store = _WORKER_STATE
+    _, compiled, delta, _, timings, _store = _WORKER_STATE
     signature, payload, moves = chunk
     before = timings.snapshot()
     parent = _resident_parent(signature, payload)
@@ -231,12 +219,7 @@ def _evaluate_move_chunk(
             child = move.apply(_payload_design(payload))
             outcomes.append(
                 evaluate_candidate(
-                    spec,
-                    compiled,
-                    scheduler,
-                    child,
-                    record_trace=True,
-                    timings=timings,
+                    compiled, child, record_trace=True, timings=timings
                 )
             )
             fallbacks += 1
@@ -316,12 +299,9 @@ class BatchEvaluator:
             if parallel_threshold is None
             else parallel_threshold
         )
-        self._scheduler = ListScheduler(compiled.architecture)
         self.timings = StageTimings()
         self.delta: Optional[DeltaEvaluator] = (
-            DeltaEvaluator(compiled, self._scheduler, self.timings)
-            if use_delta
-            else None
+            DeltaEvaluator(compiled, self.timings) if use_delta else None
         )
         self.delta_hits = 0
         self.delta_fallbacks = 0
@@ -349,8 +329,8 @@ class BatchEvaluator:
     def evaluate_one(self, design: "CandidateDesign") -> Optional[EvaluatedDesign]:
         """Serial full evaluation of a single candidate.
 
-        In delta mode the outcome carries its scheduling trace and
-        metric memo so it can parent later incremental evaluations.
+        In delta mode the outcome carries its column trace so it can
+        parent later incremental evaluations.
 
         Raises
         ------
@@ -359,9 +339,7 @@ class BatchEvaluator:
         """
         self._ensure_open()
         return evaluate_candidate(
-            self.compiled.spec,
             self.compiled,
-            self._scheduler,
             design,
             record_trace=self.delta is not None,
             timings=self.timings,
@@ -533,24 +511,18 @@ class BatchEvaluator:
 
         Workers rebuild candidates from their wire form, so their
         results reference private Application/Architecture/Mapping
-        copies.  Only the schedule, metrics and delta attachments are
-        worth keeping from the worker; downstream consumers (cache,
+        copies.  Only the metrics and delta attachments are worth
+        keeping from the worker; downstream consumers (cache,
         DesignResult) keep referencing the one true model object graph.
-        Lazy outcomes additionally regain their process-local decode
-        substrate (the compiled :class:`ArraySpec`) and the engine's
-        timing sink, both of which pickling dropped.
+        Outcomes additionally regain their process-local decode
+        substrate (the compiled spec) and the engine's timing sink,
+        both of which pickling dropped.
         """
-        arrays = self.compiled.arrays if self.compiled.use_arrays else None
         for design, outcome in zip(designs, outcomes):
             if outcome is None:
                 continue
             outcome.design = design
-            if outcome._schedule is None and outcome._state is not None:
-                if outcome._arrays is None:
-                    outcome._arrays = arrays
-            elif outcome._schedule is None and outcome._compiled is None:
-                # Store-served outcome: metrics only; the schedule is
-                # re-derived against the compiled spec on first access.
+            if outcome._compiled is None:
                 outcome._compiled = self.compiled
             if outcome._timings is None:
                 outcome._timings = self.timings
@@ -572,7 +544,6 @@ class BatchEvaluator:
                 initargs=(
                     self.compiled.spec,
                     self.delta is not None,
-                    self.compiled.engine_core,
                     self.store_path,
                     self.store_scenario,
                 ),

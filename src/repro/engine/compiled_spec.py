@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.sched.arrays import ArraySpec, resolve_engine_core
+from repro.sched.arrays import ArraySpec
 from repro.sched.jobs import JobTable, expand_jobs
 from repro.sched.priorities import PriorityMap, hcp_priorities
 from repro.sched.schedule import SystemSchedule
@@ -55,13 +55,8 @@ class CompiledSpec:
     batch evaluator pickles the spec once per worker and recompiles).
     """
 
-    def __init__(self, spec: "DesignSpec", engine_core: str = "object"):
+    def __init__(self, spec: "DesignSpec"):
         self.spec = spec
-        # "object" here, not the strategy layer's "array" default: the
-        # compiled spec is also built directly by low-level callers
-        # (tests, tools) that expect the pinned reference semantics
-        # unless they opt in.
-        self.engine_core = resolve_engine_core(engine_core)
         self._arrays: Optional[ArraySpec] = None
         self.horizon = spec.effective_horizon()
         for graph in spec.current.graphs:
@@ -124,18 +119,8 @@ class CompiledSpec:
         return len(self.job_table)
 
     @property
-    def use_arrays(self) -> bool:
-        """Whether evaluations of this spec run the array kernel."""
-        return self.engine_core == "array"
-
-    @property
     def arrays(self) -> ArraySpec:
-        """The structure-of-arrays lowering, built lazily exactly once.
-
-        Available regardless of :attr:`engine_core` (as long as numpy
-        is importable) so tests can compare both kernels over one
-        compilation.
-        """
+        """The structure-of-arrays lowering, built lazily exactly once."""
         if self._arrays is None:
             self._arrays = ArraySpec(self)
         return self._arrays
@@ -144,9 +129,8 @@ class CompiledSpec:
     def base_template(self) -> Optional[SystemSchedule]:
         """The frozen base schedule (``None`` for green-field designs).
 
-        Read-only by contract: the delta evaluator copies individual
-        node states and the bus out of it when reconstructing a child
-        schedule at a checkpoint.
+        Read-only by contract: :meth:`fresh_schedule` copies it per
+        object-kernel pass and the array lowering reads it once.
         """
         return self._base_template
 

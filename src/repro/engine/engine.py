@@ -99,12 +99,6 @@ class EvaluationEngine:
         / ``evaluate_moves`` APIs reschedule children from their
         parent's checkpoints.  Results are bit-identical either way;
         this is the CLI's ``--no-delta`` escape hatch.
-    engine_core:
-        ``"array"`` runs the structure-of-arrays scheduler kernel
-        (:mod:`repro.sched.arrays`); ``"object"`` runs the pinned
-        object-graph reference.  Results are byte-identical; this is
-        the CLI's ``--engine-core`` switch.  Defaults to ``"object"``
-        here (the strategy layer opts into ``"array"``).
     cache_store:
         Cache storage backend: ``"memory"`` (the historical in-process
         LRU) or ``"sqlite"`` (persistent across processes and runs;
@@ -129,13 +123,12 @@ class EvaluationEngine:
         max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
         parallel_threshold: Optional[int] = None,
         use_delta: bool = True,
-        engine_core: str = "object",
         cache_store: str = "memory",
         cache_path: Optional[str] = None,
         store_read_only: bool = False,
     ):
         self.spec = spec
-        self.compiled = CompiledSpec(spec, engine_core=engine_core)
+        self.compiled = CompiledSpec(spec)
         self.cache: Optional[EvaluationCache] = None
         store_path: Optional[str] = None
         store_scenario: Optional[str] = None

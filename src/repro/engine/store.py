@@ -642,9 +642,7 @@ class SqliteResultStore:
             dict(signature[2]),
         )
         metrics = metrics_from_dict(json.loads(body.decode("utf-8")))
-        return EvaluatedDesign(
-            design, None, metrics, compiled=self.compiled
-        )
+        return EvaluatedDesign(design, metrics, compiled=self.compiled)
 
 
 def make_store(

@@ -28,6 +28,7 @@ budgets.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from typing import List, Optional
@@ -45,6 +46,7 @@ from repro.experiments.runner import (
     store_statistics,
     design_identity,
     make_budget,
+    oracle_failures,
     run_comparison,
     run_family_matrix,
     run_family_smoke,
@@ -71,8 +73,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["jobs"] = args.jobs
     if args.no_delta:
         overrides["use_delta"] = False
-    if getattr(args, "engine_core", None):
-        overrides["engine_core"] = args.engine_core
     if getattr(args, "cache_store", None):
         overrides["cache_store"] = args.cache_store
     if getattr(args, "cache_path", None):
@@ -165,6 +165,26 @@ def _nonnegative_int(value: str) -> int:
     return parsed
 
 
+def _seconds(value: str) -> float:
+    """A finite, non-negative wall-clock budget in seconds."""
+    parsed = float(value)
+    if not math.isfinite(parsed) or parsed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative number of seconds, got {value!r}"
+        )
+    return parsed
+
+
+def _rate(value: str) -> float:
+    """A fraction in ``[0, 1]`` (``nan`` is rejected, not vacuous)."""
+    parsed = float(value)
+    if not 0.0 <= parsed <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a rate between 0 and 1, got {value!r}"
+        )
+    return parsed
+
+
 def _add_store_options(parser: argparse.ArgumentParser) -> None:
     """The result-store switches, shared by every run-like subcommand."""
     parser.add_argument(
@@ -236,7 +256,6 @@ def _scenarios_run(args: argparse.Namespace) -> int:
             args.sa_iterations,
             not args.no_delta,
             budget=budget,
-            engine_core=args.engine_core,
             cache_store=args.cache_store,
             cache_path=args.cache_path,
         )
@@ -322,7 +341,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
     def race(
         jobs: int,
         use_delta: bool,
-        engine_core: Optional[str] = None,
         shards: Optional[int] = None,
         elastic: Optional[bool] = None,
     ):
@@ -335,7 +353,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             shared_budget=shared_budget,
             jobs=jobs,
             use_delta=use_delta,
-            engine_core=engine_core or args.engine_core,
             cache_store=args.cache_store,
             cache_path=args.cache_path,
             shards=args.shards if shards is None else shards,
@@ -354,6 +371,9 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
                 r.objective,
                 member.evaluations_served,
                 member.rounds,
+                r.runtime_seconds,
+                r.sched_ns / 1e6,
+                r.metrics_ns / 1e6,
                 search.steps if search is not None else 0,
                 search.evaluations_to_incumbent if search is not None else 0,
                 (search.stop_reason if search is not None else "-") or "-",
@@ -365,6 +385,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         format_table(
             [
                 "member", "valid", "objective", "evals served", "rounds",
+                "runtime s", "sched ms", "metrics ms",
                 "steps", "evals to best", "stop reason", "",
             ],
             rows,
@@ -415,15 +436,10 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
 
     if args.check_determinism:
         reference = _portfolio_identity(result)
-        other_core = "object" if args.engine_core == "array" else "array"
         checks = [
             ("repeat", lambda: race(args.jobs, not args.no_delta)),
             ("jobs=2", lambda: race(2, not args.no_delta)),
             ("delta off", lambda: race(args.jobs, False)),
-            (
-                f"{other_core} core",
-                lambda: race(args.jobs, not args.no_delta, other_core),
-            ),
         ]
         shard_axis = args.budget_seconds is None
         if shard_axis:
@@ -437,7 +453,11 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
                     args.jobs, not args.no_delta, shards=2, elastic=False
                 ),
             ))
-        failures = []
+        failures = [
+            f"{member.name} oracle: {failure}"
+            for member in result.members
+            for failure in oracle_failures(scenario, spec, member.result)
+        ]
         for label, runner in checks:
             if _portfolio_identity(runner()) != reference:
                 failures.append(label)
@@ -454,7 +474,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
                 shared_budget=None,
                 jobs=args.jobs,
                 use_delta=not args.no_delta,
-                engine_core=args.engine_core,
             )
             if (
                 _portfolio_identity(reversed_result)[1:]
@@ -464,7 +483,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         if failures:
             print(f"DETERMINISM FAILURES: {', '.join(failures)}")
             return 1
-        passed = f"repeat, jobs=2, delta off, {other_core} core"
+        passed = "oracle, repeat, jobs=2, delta off"
         if shard_axis:
             passed += ", shards=2"
         if shared_budget is None:
@@ -482,7 +501,6 @@ def _scenarios_sweep(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         sa_iterations=args.sa_iterations,
         use_delta=not args.no_delta,
-        engine_core=args.engine_core,
         cache_store=args.cache_store,
         cache_path=args.cache_path,
         budget=make_budget(
@@ -637,7 +655,8 @@ def _add_scenarios_parser(subparsers) -> None:
         help="evaluation-engine worker processes",
     )
     run.add_argument(
-        "--sa-iterations", type=int, default=DEFAULT_FAMILY_SA_ITERATIONS,
+        "--sa-iterations", type=_nonnegative_int,
+        default=DEFAULT_FAMILY_SA_ITERATIONS,
         help="simulated-annealing iterations",
     )
     run.add_argument(
@@ -649,13 +668,6 @@ def _add_scenarios_parser(subparsers) -> None:
         help="disable incremental (move-aware) evaluation",
     )
     run.add_argument(
-        "--engine-core", choices=["array", "object"], default="array",
-        help=(
-            "scheduler core: the structure-of-arrays kernel (default) or "
-            "the pinned object-graph reference (results are identical)"
-        ),
-    )
-    run.add_argument(
         "--budget-evals", type=_nonnegative_int,
         help=(
             "evaluation cap per search phase (MH: the descent; SA: "
@@ -663,7 +675,7 @@ def _add_scenarios_parser(subparsers) -> None:
         ),
     )
     run.add_argument(
-        "--budget-seconds", type=float,
+        "--budget-seconds", type=_seconds,
         help="per-strategy wall-clock budget (machine-dependent)",
     )
     run.add_argument(
@@ -692,7 +704,8 @@ def _add_scenarios_parser(subparsers) -> None:
         help="shared-engine worker processes",
     )
     portfolio.add_argument(
-        "--sa-iterations", type=int, default=DEFAULT_FAMILY_SA_ITERATIONS,
+        "--sa-iterations", type=_nonnegative_int,
+        default=DEFAULT_FAMILY_SA_ITERATIONS,
         help="simulated-annealing iterations",
     )
     portfolio.add_argument(
@@ -700,7 +713,7 @@ def _add_scenarios_parser(subparsers) -> None:
         help="shared racing budget in engine evaluations (all members)",
     )
     portfolio.add_argument(
-        "--budget-seconds", type=float,
+        "--budget-seconds", type=_seconds,
         help="shared racing wall-clock budget (machine-dependent)",
     )
     portfolio.add_argument(
@@ -715,13 +728,6 @@ def _add_scenarios_parser(subparsers) -> None:
         "--no-delta",
         action="store_true",
         help="disable incremental (move-aware) evaluation",
-    )
-    portfolio.add_argument(
-        "--engine-core", choices=["array", "object"], default="array",
-        help=(
-            "scheduler core: the structure-of-arrays kernel (default) or "
-            "the pinned object-graph reference (results are identical)"
-        ),
     )
     portfolio.add_argument(
         "--shards", type=_nonnegative_int, default=0,
@@ -749,10 +755,11 @@ def _add_scenarios_parser(subparsers) -> None:
         "--check-determinism",
         action="store_true",
         help=(
-            "re-race with jobs=2, delta off, the other scheduler core, "
-            "shards=2, and (without a shared budget) reversed member "
-            "order; fail unless the winning design is byte-identical "
-            "(the CI smoke gate)"
+            "check every member's design against the object-kernel "
+            "oracles (reschedule, re-price, verify), then re-race with "
+            "jobs=2, delta off, shards=2, and (without a shared budget) "
+            "reversed member order; fail unless the winning design is "
+            "byte-identical (the CI smoke gate)"
         ),
     )
     _add_store_options(portfolio)
@@ -778,20 +785,14 @@ def _add_scenarios_parser(subparsers) -> None:
         help="evaluation-engine worker processes",
     )
     sweep.add_argument(
-        "--sa-iterations", type=int, default=DEFAULT_FAMILY_SA_ITERATIONS,
+        "--sa-iterations", type=_nonnegative_int,
+        default=DEFAULT_FAMILY_SA_ITERATIONS,
         help="simulated-annealing iterations",
     )
     sweep.add_argument(
         "--no-delta",
         action="store_true",
         help="disable incremental (move-aware) evaluation",
-    )
-    sweep.add_argument(
-        "--engine-core", choices=["array", "object"], default="array",
-        help=(
-            "scheduler core: the structure-of-arrays kernel (default) or "
-            "the pinned object-graph reference (results are identical)"
-        ),
     )
     sweep.add_argument(
         "--budget-evals", type=_nonnegative_int,
@@ -801,7 +802,7 @@ def _add_scenarios_parser(subparsers) -> None:
         ),
     )
     sweep.add_argument(
-        "--budget-seconds", type=float,
+        "--budget-seconds", type=_seconds,
         help="per-strategy wall-clock budget (machine-dependent)",
     )
     sweep.add_argument(
@@ -825,7 +826,8 @@ def _add_scenarios_parser(subparsers) -> None:
     )
     smoke.add_argument("--seed", type=int, default=1, help="scenario seed")
     smoke.add_argument(
-        "--sa-iterations", type=int, default=DEFAULT_FAMILY_SA_ITERATIONS,
+        "--sa-iterations", type=_nonnegative_int,
+        default=DEFAULT_FAMILY_SA_ITERATIONS,
         help="simulated-annealing iterations",
     )
     smoke.add_argument(
@@ -833,10 +835,11 @@ def _add_scenarios_parser(subparsers) -> None:
     )
     _add_store_options(smoke)
     smoke.add_argument(
-        "--min-store-hit-rate", type=float,
+        "--min-store-hit-rate", type=_rate,
         help=(
             "fail unless the sweep's aggregate store hit rate reaches "
-            "this fraction (the CI warm-restart gate's second run)"
+            "this fraction in [0, 1] (the CI warm-restart gate's second "
+            "run; needs --cache-store sqlite)"
         ),
     )
 
@@ -870,7 +873,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--existing", type=int, help="existing-application size"
     )
     figure_options.add_argument(
-        "--sa-iterations", type=int, help="simulated-annealing iterations"
+        "--sa-iterations", type=_nonnegative_int,
+        help="simulated-annealing iterations",
     )
     figure_options.add_argument(
         "--jobs",
@@ -888,13 +892,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "is rescheduled from scratch (results are identical)"
         ),
     )
-    figure_options.add_argument(
-        "--engine-core", choices=["array", "object"], default="array",
-        help=(
-            "scheduler core: the structure-of-arrays kernel (default) or "
-            "the pinned object-graph reference (results are identical)"
-        ),
-    )
     _add_store_options(figure_options)
     figure_options.add_argument(
         "--budget-evals", type=_nonnegative_int,
@@ -904,7 +901,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     figure_options.add_argument(
-        "--budget-seconds", type=float,
+        "--budget-seconds", type=_seconds,
         help="per-strategy wall-clock budget (machine-dependent)",
     )
     figure_options.add_argument(
@@ -924,6 +921,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_scenarios_parser(subparsers)
 
     args = parser.parse_args(argv)
+    if (
+        getattr(args, "min_store_hit_rate", None) is not None
+        and args.cache_store != "sqlite"
+    ):
+        parser.error("--min-store-hit-rate requires --cache-store sqlite")
     if args.command == "scenarios":
         return _handle_scenarios(args)
 

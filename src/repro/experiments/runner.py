@@ -20,16 +20,19 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.metrics import ObjectiveWeights
-from repro.core.strategy import DesignResult, make_strategy
+from repro.core.metrics import ObjectiveWeights, evaluate_design
+from repro.core.strategy import DesignResult, DesignSpec, make_strategy
 from repro.engine.cache import CacheStats
 from repro.engine.delta import DeltaStats
 from repro.gen.scenario import Scenario, ScenarioParams, build_scenario
 from repro.gen import families as families_module
 from repro.search.budget import Budget
+from repro.sched.list_scheduler import ListScheduler
+from repro.sched.verify import verify_design
 from repro.search.portfolio import PortfolioResult, PortfolioRunner
+from repro.serialize.codec import schedule_to_dict
 from repro.serialize.scenario_codec import scenario_from_dict, scenario_to_dict
-from repro.utils.errors import MappingError
+from repro.utils.errors import MappingError, SchedulingError
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,6 @@ class ExperimentConfig:
     #: Incremental (move-aware) evaluation; the CLI's ``--no-delta``
     #: escape hatch sets this False.  Results are identical either way.
     use_delta: bool = True
-    #: Scheduler core: ``"array"`` (structure-of-arrays kernel, the
-    #: default) or ``"object"`` (the pinned object-graph reference).
-    #: The CLI's ``--engine-core`` switch.  Results are byte-identical.
-    engine_core: str = "array"
     #: Result-store backend of every strategy's evaluation engine:
     #: ``"memory"`` (process-local LRU) or ``"sqlite"`` (persistent
     #: database at ``cache_path``, warm across runs).  The CLI's
@@ -200,7 +199,6 @@ def _build(name: str, config: ExperimentConfig, seed: int):
             seed=seed * 7919 + 13,
             jobs=config.jobs,
             use_delta=config.use_delta,
-            engine_core=config.engine_core,
             cache_store=config.cache_store,
             cache_path=config.cache_path,
             budget=budget,
@@ -209,7 +207,6 @@ def _build(name: str, config: ExperimentConfig, seed: int):
         name,
         jobs=config.jobs,
         use_delta=config.use_delta,
-        engine_core=config.engine_core,
         cache_store=config.cache_store,
         cache_path=config.cache_path,
         budget=budget,
@@ -369,8 +366,9 @@ class FamilySmokeResult:
 
     ``failures`` is empty when the family passed: the scenario
     round-trips through the JSON codec byte-identically, and every
-    strategy finds a valid design that is identical with the cache on,
-    off, and with two evaluation workers.
+    strategy finds a valid design that passes :func:`oracle_failures`
+    and is identical with the cache on, off, with two evaluation
+    workers and with incremental evaluation off.
     """
 
     family: str
@@ -418,6 +416,61 @@ def design_fingerprint(result: DesignResult) -> str:
     return hashlib.sha256(identity).hexdigest()[:16]
 
 
+def oracle_failures(
+    scenario: Scenario, spec: DesignSpec, result: DesignResult
+) -> List[str]:
+    """Check one returned design against the reference implementations.
+
+    A searched design is rescheduled from scratch by the object list
+    scheduler (:meth:`ListScheduler.try_schedule`), whose schedule must
+    serialize exactly like the returned one.  Every design is re-priced
+    by the from-scratch metrics (:func:`evaluate_design`), whose
+    objective must equal the returned one bit for bit, and checked by
+    the independent verifier (:func:`verify_design`) against both
+    applications.  AH's design (``search is None``) is the Initial
+    Mapper's own schedule, which may come from a restart with jittered
+    priorities, so it is not rescheduled.  Returns one message per
+    failed check (empty when all pass, and for invalid results, which
+    carry no design).
+    """
+    if not result.valid:
+        return []
+    failures: List[str] = []
+    if result.search is not None:
+        oracle = ListScheduler(spec.architecture).try_schedule(
+            spec.current,
+            result.mapping,
+            base=spec.base_schedule,
+            priorities=result.priorities,
+            horizon=spec.effective_horizon(),
+            message_delays=result.message_delays,
+        )
+        if not oracle.success:
+            failures.append(
+                f"object scheduler rejects the design: "
+                f"{oracle.failure_reason}"
+            )
+        elif schedule_to_dict(oracle.schedule) != schedule_to_dict(
+            result.schedule
+        ):
+            failures.append("schedule differs from the object scheduler's")
+    repriced = evaluate_design(result.schedule, spec.future, spec.weights)
+    if repriced.objective != result.objective:
+        failures.append(
+            f"re-priced objective {repriced.objective!r} != "
+            f"{result.objective!r}"
+        )
+    try:
+        verify_design(
+            result.schedule,
+            [scenario.existing, scenario.current],
+            {scenario.current.name: result.mapping},
+        )
+    except SchedulingError as exc:
+        failures.append(f"verify_design: {exc}")
+    return failures
+
+
 def strategy_for_family(
     name: str,
     seed: int,
@@ -426,7 +479,6 @@ def strategy_for_family(
     sa_iterations: int,
     use_delta: bool = True,
     budget: Optional[Budget] = None,
-    engine_core: str = "array",
     cache_store: str = "memory",
     cache_path: Optional[str] = None,
 ):
@@ -454,7 +506,6 @@ def strategy_for_family(
             use_cache=use_cache,
             jobs=jobs,
             use_delta=use_delta,
-            engine_core=engine_core,
             cache_store=cache_store,
             cache_path=cache_path,
             budget=budget,
@@ -467,7 +518,6 @@ def strategy_for_family(
         use_cache=use_cache,
         jobs=jobs,
         use_delta=use_delta,
-        engine_core=engine_core,
         cache_store=cache_store,
         cache_path=cache_path,
         budget=budget,
@@ -479,7 +529,6 @@ def portfolio_members(
     seed: int,
     sa_iterations: int = DEFAULT_FAMILY_SA_ITERATIONS,
     budget: Optional[Budget] = None,
-    engine_core: str = "array",
 ) -> List:
     """Configured strategy instances for a portfolio race.
 
@@ -489,15 +538,7 @@ def portfolio_members(
     budget (the racing budget lives on the runner).
     """
     return [
-        strategy_for_family(
-            name,
-            seed,
-            True,
-            1,
-            sa_iterations,
-            budget=budget,
-            engine_core=engine_core,
-        )
+        strategy_for_family(name, seed, True, 1, sa_iterations, budget=budget)
         for name in strategies
     ]
 
@@ -512,7 +553,6 @@ def run_portfolio(
     use_cache: bool = True,
     jobs: int = 1,
     use_delta: bool = True,
-    engine_core: str = "array",
     cache_store: str = "memory",
     cache_path: Optional[str] = None,
     shards: int = 0,
@@ -534,9 +574,7 @@ def run_portfolio(
     budgets and dynamic work-stealing allowed).  ``shards=0`` (the
     default) stays on the in-process lockstep reference.
     """
-    members = portfolio_members(
-        strategies, seed, sa_iterations, member_budget, engine_core
-    )
+    members = portfolio_members(strategies, seed, sa_iterations, member_budget)
     if shards >= 1:
         from repro.search.distributed import DistributedPortfolioRunner
 
@@ -548,7 +586,6 @@ def run_portfolio(
             use_cache=use_cache,
             jobs=jobs,
             use_delta=use_delta,
-            engine_core=engine_core,
             cache_store=cache_store,
             cache_path=cache_path,
         ).run(spec)
@@ -558,7 +595,6 @@ def run_portfolio(
         use_cache=use_cache,
         jobs=jobs,
         use_delta=use_delta,
-        engine_core=engine_core,
         cache_store=cache_store,
         cache_path=cache_path,
     )
@@ -574,7 +610,6 @@ def run_family_matrix(
     jobs: int = 1,
     sa_iterations: int = DEFAULT_FAMILY_SA_ITERATIONS,
     use_delta: bool = True,
-    engine_core: str = "array",
     cache_store: str = "memory",
     cache_path: Optional[str] = None,
     budget: Optional[Budget] = None,
@@ -624,7 +659,6 @@ def run_family_matrix(
                         sa_iterations,
                         use_delta,
                         budget=budget,
-                        engine_core=engine_core,
                         cache_store=cache_store if use_cache else "memory",
                         cache_path=cache_path,
                     )
@@ -661,12 +695,12 @@ def run_family_smoke(
     """CI smoke sweep: smallest preset per family, all checks.
 
     Per family: (1) the scenario round-trips through the JSON codec
-    byte-identically; (2) every strategy finds a *valid* design;
-    (3) each strategy's design is identical with the cache on, with the
-    cache off, with ``jobs=2``, with incremental evaluation off
-    (``--no-delta``) and with the pinned object scheduler core
-    (``--engine-core object``) -- the determinism contract new families
-    must not break.
+    byte-identically; (2) every strategy finds a *valid* design that
+    passes the oracle check (:func:`oracle_failures`); (3) each
+    strategy's design is identical with the cache on, with the cache
+    off, with ``jobs=2`` and with incremental evaluation off
+    (``--no-delta``) -- the determinism contract new families must not
+    break.
 
     ``cache_store``/``cache_path`` apply to the *baseline* run of each
     strategy only (the comparison variants stay memory-backed: they
@@ -713,21 +747,19 @@ def run_family_smoke(
                 continue
             smoke.objectives[strategy_name] = baseline.objective
             smoke.fingerprints[strategy_name] = design_fingerprint(baseline)
+            smoke.failures.extend(
+                f"{strategy_name}: {failure}"
+                for failure in oracle_failures(scenario, spec, baseline)
+            )
             reference = design_identity(baseline)
-            for label, use_cache, jobs, use_delta, engine_core in (
-                ("cache off", False, 1, True, "array"),
-                ("jobs=2", True, 2, True, "array"),
-                ("delta off", True, 1, False, "array"),
-                ("object core", True, 1, True, "object"),
+            for label, use_cache, jobs, use_delta in (
+                ("cache off", False, 1, True),
+                ("jobs=2", True, 2, True),
+                ("delta off", True, 1, False),
             ):
                 other = strategy_for_family(
-                    strategy_name,
-                    seed,
-                    use_cache,
-                    jobs,
-                    sa_iterations,
+                    strategy_name, seed, use_cache, jobs, sa_iterations,
                     use_delta,
-                    engine_core=engine_core,
                 ).design(spec)
                 if design_identity(other) != reference:
                     smoke.failures.append(

@@ -1,4 +1,4 @@
-"""Structure-of-arrays compiled scheduler core (the ``array`` engine core).
+"""Structure-of-arrays compiled scheduler core (the runtime scheduler).
 
 :class:`ArraySpec` lowers a :class:`~repro.engine.compiled_spec.CompiledSpec`
 one level further: processes, jobs, nodes, messages and precedence
@@ -10,7 +10,8 @@ then an index-based rewrite of :meth:`ListScheduler.run_pass`: integer
 heap keys, per-node busy-run lists, per-slot used-byte lists, and a
 trace recorded as parallel columns instead of per-event objects.
 
-The kernel is *decision-identical* to the object core by construction:
+The kernel is *decision-identical* to the object kernel (the test
+oracle) by construction:
 
 * **Heap order.**  The legacy ready-heap key is the tuple
   ``(urgency, release, process_id, instance)`` (see
@@ -25,7 +26,7 @@ The kernel is *decision-identical* to the object core by construction:
 * **Placement.**  The gap search inlines
   :meth:`IntervalSet.earliest_fit` over plain start/end lists and
   inserts runs in the same canonical (adjacency-merged) form, so busy
-  sets decode byte-identical to the object core's.
+  sets decode byte-identical to the object kernel's.
 * **Bus.**  Slot math inlines
   :meth:`TdmaBus.first_occurrence_not_before` /
   :meth:`BusSchedule.earliest_round_with_room` over per-node used-byte
@@ -45,18 +46,15 @@ divergence scan compares ``(urgency, static_rank)`` pairs (isomorphic
 to legacy heap-key comparisons) and checkpoint reconstruction rebuilds
 ``earliest``/``preds`` with two ``np.ufunc.at`` scatters plus a short
 prefix replay of placements -- no object-graph surgery.
-
-numpy is optional: :func:`resolve_engine_core` degrades ``array`` to
-``object`` with a warning when it is missing, so the package works
-(slower) without it.
 """
 
 from __future__ import annotations
 
 import heapq
-import warnings
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.sched.jobs import JobKey
 from repro.sched.schedule import ScheduledProcess, SystemSchedule
@@ -64,55 +62,17 @@ from repro.sched.trace import MessageEvent, ScheduleTrace
 from repro.tdma.schedule import SlotOccupancy
 from repro.utils.intervals import IntervalSet
 
-try:  # pragma: no cover - exercised via tests that stub HAVE_NUMPY
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into the toolchain
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.transformations import CandidateDesign, MoveFootprint
     from repro.engine.compiled_spec import CompiledSpec
     from repro.sched.priorities import PriorityMap
-
-#: The selectable scheduler cores (the CLI's ``--engine-core`` values).
-ENGINE_CORES = ("array", "object")
-
-#: Default core of the strategy/experiment layer.  The engine layer
-#: itself defaults to ``object`` (the pinned reference) so low-level
-#: tests keep exercising the legacy path unless they opt in.
-DEFAULT_ENGINE_CORE = "array"
-
-
-def resolve_engine_core(requested: str) -> str:
-    """Validate ``requested`` and degrade ``array`` when numpy is absent.
-
-    Returns the core that will actually run.  The degradation warns --
-    silently falling back would hide a 3x+ performance regression.
-    """
-    if requested not in ENGINE_CORES:
-        raise ValueError(
-            f"unknown engine core {requested!r}; expected one of "
-            f"{ENGINE_CORES}"
-        )
-    if requested == "array" and not HAVE_NUMPY:
-        warnings.warn(
-            "numpy is not available; the array scheduler core degrades to "
-            "the (slower) object core",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "object"
-    return requested
 
 
 class ArrayRunState:
     """Loop state and column trace of one array-kernel pass.
 
     Plays the role :class:`ScheduleTrace` plus the ``run_pass``
-    argument bundle play for the object core: a successful state is
+    argument bundle play for the object kernel: a successful state is
     stored on :class:`~repro.engine.evaluation.EvaluatedDesign.trace`
     and parents later delta evaluations.  All fields are plain lists /
     ints (numpy views are cached lazily by :meth:`as_numpy`), so
@@ -284,7 +244,7 @@ def _insert_run(ss: List[int], ee: List[int], start: int, end: int) -> None:
     Replicates :meth:`IntervalSet.add` for the no-overlap case the
     scheduler guarantees: merge with an adjacent left/right neighbour,
     otherwise splice.  Keeping runs canonical is what makes decoded
-    busy sets compare equal to the object core's.
+    busy sets compare equal to the object kernel's.
     """
     i = bisect_right(ss, start)
     left = i > 0 and ee[i - 1] == start
@@ -322,11 +282,6 @@ class ArraySpec:
     """
 
     def __init__(self, compiled: "CompiledSpec") -> None:
-        if not HAVE_NUMPY:
-            raise RuntimeError(
-                "ArraySpec requires numpy; resolve_engine_core() should "
-                "have degraded to the object core"
-            )
         self.compiled = compiled
         self.horizon = compiled.horizon
         self.architecture = compiled.architecture
@@ -628,7 +583,7 @@ class ArraySpec:
         checks and checkpoint marks replicate ``ListScheduler.run_pass``
         decision for decision -- see the module docstring for the
         order-isomorphism argument.  On return either ``st.success`` is
-        True or ``st.failure_reason`` carries the object core's exact
+        True or ``st.failure_reason`` carries the object kernel's exact
         failure string.
         """
         pids = self.pids
@@ -685,7 +640,7 @@ class ArraySpec:
             w = wcet[p][n]
             if w < 0:
                 # Unreachable behind Mapping's allowed-node validation;
-                # delegate so the error matches the object core's.
+                # delegate so the error matches the object kernel's.
                 self.compiled.application.process(pids[p]).wcet_on(
                     node_ids[n]
                 )
@@ -881,7 +836,7 @@ class ArraySpec:
         ready heap is the parent's ready-but-unpopped set re-keyed with
         the child's ranks.  Recorded event urgencies need no patching:
         heap keys are derived from the *child's* urgency array, which
-        is exactly the re-keying the object core performs on its
+        is exactly the re-keying the object kernel performs on its
         prefix.
         """
         st = self.fresh_state(cand, record=True)
@@ -940,7 +895,7 @@ class ArraySpec:
         Entry lists, the process index and the bus maps are filled in
         the object kernel's insertion orders (base first, then events
         in pop order, deliveries in delivery order), so the decoded
-        schedule is indistinguishable from an object-core one -- the
+        schedule is indistinguishable from an object-kernel one -- the
         metric, verify, serialize and proposer layers consume it
         unchanged.
 

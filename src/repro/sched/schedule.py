@@ -17,7 +17,7 @@ schedule's residual queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.model.architecture import Architecture
 from repro.tdma.schedule import BusSchedule
@@ -218,17 +218,6 @@ class SystemSchedule:
             raise SchedulingError(f"unknown node {node_id!r}")
         return self._busy[node_id].as_pairs()
 
-    def busy_equals(self, other: "SystemSchedule", node_id: str) -> bool:
-        """Whether ``node_id`` has identical busy time in both schedules.
-
-        Busy-time equality is exactly what the processor-side metrics
-        (slack gaps, window slacks) depend on; the delta evaluator uses
-        this to detect nodes whose resumed timeline re-derived the
-        parent's layout and whose metric inputs can therefore be
-        reused.
-        """
-        return self._busy[node_id] == other._busy[node_id]
-
     def busy_set(self, node_id: str) -> IntervalSet:
         """A copy of the busy-time set of ``node_id``."""
         if node_id not in self._busy:
@@ -273,76 +262,6 @@ class SystemSchedule:
     def utilization(self, node_id: str) -> float:
         """Fraction of the horizon ``node_id`` is busy."""
         return self._busy[node_id].total_length / self.horizon
-
-    def node_entries(self, node_id: str) -> List[ScheduledProcess]:
-        """The raw (unsorted) entry list of ``node_id`` -- a copy."""
-        if node_id not in self._entries:
-            raise SchedulingError(f"unknown node {node_id!r}")
-        return list(self._entries[node_id])
-
-    # ------------------------------------------------------------------
-    # incremental reconstruction (delta evaluation)
-    # ------------------------------------------------------------------
-    def clone_node_from(self, other: "SystemSchedule", node_id: str) -> None:
-        """Adopt ``other``'s state of one node wholesale.
-
-        The structural-sharing primitive of delta evaluation: when a
-        parent run never touches ``node_id`` after the divergence
-        point, the child's timeline of that node is byte-identical to
-        the parent's final one and is copied in bulk (two list copies)
-        instead of being replayed placement by placement.  Both
-        schedules must share architecture and horizon.
-        """
-        self._busy[node_id] = other._busy[node_id].copy()
-        entries = list(other._entries[node_id])
-        self._entries[node_id] = entries
-        by_process = self._by_process
-        for entry in entries:
-            by_process[(entry.process_id, entry.instance)] = entry
-
-    def load_node(
-        self, node_id: str, entries: Iterable[ScheduledProcess]
-    ) -> None:
-        """Replace ``node_id``'s timeline with ``entries`` in bulk.
-
-        The replay primitive of delta evaluation: the prefix
-        reservations of a dirty node (frozen base entries plus replayed
-        parent placements) are installed in one pass -- the busy set is
-        rebuilt with :meth:`IntervalSet.from_busy_runs` instead of one
-        checked insertion per entry.  Overlapping entries raise (the
-        inputs come from a valid parent schedule, so this is a
-        defensive invariant, not an expected path).
-        """
-        if node_id not in self._busy:
-            raise SchedulingError(f"unknown node {node_id!r}")
-        entries = list(entries)
-        try:
-            busy = IntervalSet.from_busy_runs(
-                (e.start, e.end) for e in entries
-            )
-        except ValueError as exc:
-            raise SchedulingError(
-                f"replayed entries overlap on node {node_id!r}: {exc}"
-            ) from None
-        self._busy[node_id] = busy
-        self._entries[node_id] = entries
-        by_process = self._by_process
-        for entry in entries:
-            by_process[(entry.process_id, entry.instance)] = entry
-
-    def prune_jobs(self, keys: Iterable[Tuple[str, int]]) -> None:
-        """Drop jobs from the lookup index during delta reconstruction.
-
-        Companion of :meth:`load_node`: the delta evaluator copies the
-        parent schedule wholesale, prunes every job scheduled at or
-        after the divergence point, and bulk-reloads the affected node
-        timelines.  Between the prune and the reload the schedule is
-        internally inconsistent, so this is strictly a reconstruction
-        primitive -- not for general use.
-        """
-        by_process = self._by_process
-        for key in keys:
-            del by_process[key]
 
     # ------------------------------------------------------------------
     # bookkeeping

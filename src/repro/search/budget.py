@@ -113,7 +113,9 @@ class Budget:
     def __post_init__(self) -> None:
         for name in ("max_steps", "max_evaluations", "max_seconds", "patience"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            # ``not value >= 0`` also rejects NaN, which compares false
+            # to everything and would otherwise never stop a search.
+            if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be non-negative or None, got {value}")
 
     def __and__(self, other: "Budget") -> "Budget":

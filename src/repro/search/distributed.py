@@ -157,7 +157,6 @@ def _shard_main(
         jobs=1,
         max_cache_entries=cfg["max_cache_entries"],
         use_delta=cfg["use_delta"],
-        engine_core=cfg["engine_core"],
         cache_store=cfg["cache_store"],
         cache_path=cfg["cache_path"],
         store_read_only=cfg["cache_store"] == "sqlite",
@@ -433,7 +432,6 @@ class DistributedPortfolioRunner:
         jobs: int = 1,
         max_cache_entries: Optional[int] = -1,
         use_delta: bool = True,
-        engine_core: str = "array",
         cache_store: str = "memory",
         cache_path: Optional[str] = None,
         steal_schedule: Optional[Sequence[dict]] = None,
@@ -478,7 +476,6 @@ class DistributedPortfolioRunner:
         self.jobs = jobs  # accepted for signature parity; shards are the parallelism
         self.max_cache_entries = max_cache_entries
         self.use_delta = use_delta
-        self.engine_core = engine_core
         self.cache_store = cache_store
         self.cache_path = cache_path
         self.steal_schedule = [dict(e) for e in (steal_schedule or ())]
@@ -548,7 +545,6 @@ class _Coordinator:
             "use_cache": runner.use_cache,
             "max_cache_entries": max_entries,
             "use_delta": runner.use_delta,
-            "engine_core": runner.engine_core,
             "cache_store": runner.cache_store,
             "cache_path": runner.cache_path,
             "metered": runner._metered,

@@ -184,8 +184,7 @@ class PortfolioRunner:
         wall-clock axes; per-member step caps belong to the members'
         own budgets).  ``None`` lets every member run to its own
         completion.
-    use_cache, jobs, max_cache_entries, use_delta, engine_core,
-    cache_store, cache_path:
+    use_cache, jobs, max_cache_entries, use_delta, cache_store, cache_path:
         Shared-engine knobs, exactly as on
         :class:`~repro.core.strategy.DesignEvaluator`.  With
         ``cache_store="sqlite"`` the whole race shares one persistent
@@ -201,7 +200,6 @@ class PortfolioRunner:
         jobs: int = 1,
         max_cache_entries: Optional[int] = -1,
         use_delta: bool = True,
-        engine_core: str = "array",
         cache_store: str = "memory",
         cache_path: Optional[str] = None,
     ):
@@ -213,7 +211,6 @@ class PortfolioRunner:
         self.jobs = jobs
         self.max_cache_entries = max_cache_entries
         self.use_delta = use_delta
-        self.engine_core = engine_core
         self.cache_store = cache_store
         self.cache_path = cache_path
 
@@ -235,7 +232,6 @@ class PortfolioRunner:
             jobs=self.jobs,
             max_cache_entries=max_entries,
             use_delta=self.use_delta,
-            engine_core=self.engine_core,
             cache_store=self.cache_store,
             cache_path=self.cache_path,
         ) as evaluator:

@@ -289,37 +289,6 @@ class BusSchedule:
             for node_id, r, capacity in _occurrence_order(self.bus, self.horizon)
         ]
 
-    def occupancy_equals(self, other: "BusSchedule") -> bool:
-        """Whether both schedules consume identical bytes per occurrence.
-
-        Byte-occupancy equality is exactly what the bus-side metrics
-        (C1m, C2m) depend on; the delta evaluator uses this to reuse a
-        parent's bus metric inputs when a resumed pass re-placed every
-        message where the parent had it.
-        """
-        return self.bus is other.bus and self._used == other._used
-
-    def occupancy_diff(
-        self, other: "BusSchedule"
-    ) -> List[Tuple[Tuple[str, int], int]]:
-        """Per-occurrence used-byte deltas ``self - other``.
-
-        The sparse difference the incremental metric layer patches a
-        parent's residual vector with; empty when the two schedules
-        occupy the bus identically.
-        """
-        mine = self._used
-        theirs = other._used
-        diff: List[Tuple[Tuple[str, int], int]] = []
-        for key, used in mine.items():
-            previous = theirs.get(key, 0)
-            if used != previous:
-                diff.append((key, used - previous))
-        for key, used in theirs.items():
-            if used and key not in mine:
-                diff.append((key, -used))
-        return diff
-
     def used_map(self) -> Dict[Tuple[str, int], int]:
         """The live used-bytes map keyed by ``(node, round)`` (read-only)."""
         return self._used

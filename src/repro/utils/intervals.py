@@ -122,38 +122,6 @@ class IntervalSet:
         out._ends = list(self._ends)
         return out
 
-    @classmethod
-    def from_busy_runs(cls, runs: Iterable[Tuple[int, int]]) -> "IntervalSet":
-        """Build a set from ``(start, end)`` busy runs in one pass.
-
-        The bulk analogue of repeated :meth:`add_busy` calls: runs are
-        sorted, adjacency is merged, and any overlap raises.  Used by
-        the delta evaluator to reconstruct a node's busy set from
-        replayed reservations without paying a bisect-and-splice per
-        insertion.
-
-        Raises
-        ------
-        ValueError
-            If two runs overlap (reservations must never collide).
-        """
-        out = cls()
-        starts = out._starts
-        ends = out._ends
-        for start, end in sorted(runs):
-            if end <= start:
-                continue
-            if ends and start < ends[-1]:
-                raise ValueError(
-                    f"interval [{start}, {end}) overlaps existing busy time"
-                )
-            if ends and start == ends[-1]:
-                ends[-1] = end
-            else:
-                starts.append(start)
-                ends.append(end)
-        return out
-
     def intervals(self) -> List[Interval]:
         """The canonical sorted list of disjoint intervals."""
         return list(self)

@@ -185,10 +185,10 @@ class TestObjective:
 
 
 class TestFastCoreMatchesReferenceMetrics:
-    """The memoized metric core equals the from-scratch metric functions.
+    """The fast object metric core equals the component functions.
 
-    ``evaluate_design`` routes through ``evaluate_design_delta`` (cached
-    bags, lean packing kernel, single-pass slack extraction); the
+    ``evaluate_design`` uses cached bags, the lean packing kernel and
+    single-pass slack extraction; the
     component functions ``metric_c1p``/``metric_c1m``/``metric_c2p``/
     ``metric_c2m`` keep their original from-scratch implementations.
     This cross-check pins the two paths to each other -- it is also

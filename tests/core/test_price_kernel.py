@@ -48,7 +48,6 @@ from repro.engine import evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec
 from repro.experiments.runner import strategy_for_family
 from repro.gen import families
-from repro.sched.list_scheduler import ListScheduler
 from repro.search.proposers import random_move
 
 compiled_only = pytest.mark.skipif(
@@ -58,23 +57,20 @@ compiled_only = pytest.mark.skipif(
 
 @functools.lru_cache(maxsize=16)
 def _cell(family_name: str):
-    """Spec, array compilation, scheduler and IM start of one family."""
+    """Spec, compilation and IM start of one family."""
     family = families.get_family(family_name)
     spec = family.build(family.smallest_preset, seed=1).spec()
-    compiled = CompiledSpec(spec, engine_core="array")
-    scheduler = ListScheduler(spec.architecture)
+    compiled = CompiledSpec(spec)
     outcome = InitialMapper(spec.architecture).try_map_and_schedule(
         spec.current, base=spec.base_schedule, compiled=compiled
     )
     assert outcome is not None
     start = evaluate_candidate(
-        spec,
         compiled,
-        scheduler,
         CandidateDesign(outcome[0], dict(compiled.default_priorities)),
     )
     assert start is not None
-    return spec, compiled, scheduler, start
+    return spec, compiled, start
 
 
 def _compiled_counts(arrays, state, future):
@@ -92,7 +88,7 @@ def _compiled_counts(arrays, state, future):
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 12))
 def test_sa_move_chains_price_identically(family_name, seed, steps):
-    spec, compiled, scheduler, current = _cell(family_name)
+    spec, compiled, current = _cell(family_name)
     arrays = compiled.arrays
     rng = np.random.default_rng(seed)
     for _ in range(steps):
@@ -109,14 +105,14 @@ def test_sa_move_chains_price_identically(family_name, seed, steps):
         assert metrics == evaluate_design(
             arrays.decode_schedule(state), spec.future, spec.weights
         )
-        current = evaluate_candidate(spec, compiled, scheduler, child)
+        current = evaluate_candidate(compiled, child)
 
 
 # ----------------------------------------------------------------------
 # degenerate states
 # ----------------------------------------------------------------------
 def _state(family_name: str = "uniform-baseline"):
-    spec, compiled, _, start = _cell(family_name)
+    spec, compiled, start = _cell(family_name)
     arrays = compiled.arrays
     state = arrays.schedule_design(start.design, columns=True)
     assert state.success

@@ -2,11 +2,11 @@
 
 The contract under test: :mod:`repro.core.array_metrics` prices a
 finished :class:`~repro.sched.arrays.ArrayRunState` **byte-identically**
-to the pinned object kernel pricing the decoded schedule -- every
-metric value, the objective, and failure reporting match across all
-registered scenario families, through chained delta generations and
-delta-resumed states, under every binpack policy, with the cache on or
-off and with ``--jobs 2``.  Plus the lazy-decode boundary: the hot path never builds
+to the object kernel, which stays as the test oracle
+(:mod:`kernel_oracle`) -- every metric value, the objective, and
+failure reporting match across all registered scenario families,
+through chained delta generations and delta-resumed states, under
+every binpack policy, with the cache on or off and with ``--jobs 2``.  Plus the lazy-decode boundary: the hot path never builds
 an object schedule, :attr:`EvaluatedDesign.schedule` decodes on demand
 (also after a pickle round trip and for columnless states), and
 :meth:`ArraySpec.decode_schedule` refuses columnless states loudly.
@@ -21,6 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_oracle import (
+    assert_matches_oracle,
+    assert_search_matches_oracle,
+    occupancy,
+    oracle,
+    record_candidates,
+)
 from repro.core.binpack import best_fit, best_fit_unplaced_total_hist
 from repro.core.initial_mapping import InitialMapper
 from repro.core.mapping_heuristic import MappingHeuristic
@@ -50,20 +57,16 @@ from repro.sched.list_scheduler import ListScheduler
 
 @functools.lru_cache(maxsize=32)
 def _cell(family_name: str, seed: int = 1):
-    """Spec, both compiled cores and the IM design of one family."""
+    """Spec, compiled spec and the IM design of one family."""
     family = families.get_family(family_name)
     spec = family.build(family.smallest_preset, seed=seed).spec()
-    compiled_obj = CompiledSpec(spec, engine_core="object")
-    compiled_arr = CompiledSpec(spec, engine_core="array")
-    scheduler = ListScheduler(spec.architecture)
+    compiled = CompiledSpec(spec)
     outcome = InitialMapper(spec.architecture).try_map_and_schedule(
-        spec.current, base=spec.base_schedule, compiled=compiled_obj
+        spec.current, base=spec.base_schedule, compiled=compiled
     )
     assert outcome is not None
-    design = CandidateDesign(
-        outcome[0], dict(compiled_obj.default_priorities)
-    )
-    return spec, compiled_obj, compiled_arr, scheduler, design
+    design = CandidateDesign(outcome[0], dict(compiled.default_priorities))
+    return spec, compiled, design
 
 
 def _neighbourhood(spec, design, limit_delays: int = 6):
@@ -85,17 +88,17 @@ def _neighbourhood(spec, design, limit_delays: int = 6):
 @pytest.mark.parametrize("family_name", families.family_names())
 def test_cold_metrics_equal_object_kernel(family_name):
     """Values, objective and validity match over the IM neighbourhood."""
-    spec, compiled_obj, compiled_arr, scheduler, design = _cell(family_name)
-    arrays = compiled_arr.arrays
+    spec, compiled, design = _cell(family_name)
+    arrays = compiled.arrays
     compared = 0
     for child in _neighbourhood(spec, design):
         state = arrays.schedule_design(child, columns=True)
-        cold = evaluate_candidate(spec, compiled_obj, scheduler, child)
-        assert state.success == (cold is not None)
-        if cold is None:
+        _, reference = oracle(spec, child)
+        assert state.success == (reference is not None)
+        if reference is None:
             continue
         metrics = evaluate_state(arrays, state, spec.future, spec.weights)
-        assert metrics == cold.metrics
+        assert metrics == reference
         compared += 1
     assert compared > 0
 
@@ -103,10 +106,8 @@ def test_cold_metrics_equal_object_kernel(family_name):
 @pytest.mark.parametrize("policy", ["first-fit", "worst-fit"])
 def test_ablation_policies_equal_object_kernel(policy):
     """The non-default packing policies price identically too."""
-    spec, compiled_obj, compiled_arr, scheduler, design = _cell(
-        "uniform-baseline"
-    )
-    arrays = compiled_arr.arrays
+    spec, compiled, design = _cell("uniform-baseline")
+    arrays = compiled.arrays
     weights = ObjectiveWeights(binpack_policy=policy)
     compared = 0
     for child in _neighbourhood(spec, design)[:12]:
@@ -130,7 +131,7 @@ def test_failure_reasons_without_decode():
         ScenarioParams(n_existing=14, n_current=10, current_utilization=0.3),
         seed=4,
     ).spec()
-    compiled = CompiledSpec(spec, engine_core="array")
+    compiled = CompiledSpec(spec)
     arrays = compiled.arrays
     scheduler = ListScheduler(spec.architecture)
     outcome = InitialMapper(spec.architecture).try_map_and_schedule(
@@ -164,16 +165,13 @@ def test_failure_reasons_without_decode():
 @given(data=st.data())
 def test_chained_delta_generations_stay_identical(family_name, data):
     """Random move chains, each child resumed from its parent's
-    checkpoints, price exactly like a cold object evaluation of the
-    same design (array outcomes chain no metric memo)."""
-    spec, compiled_obj, compiled_arr, scheduler, design = _cell(family_name)
-    arrays = compiled_arr.arrays
-    delta = DeltaEvaluator(compiled_arr, scheduler)
-    parent = evaluate_candidate(
-        spec, compiled_arr, scheduler, design, record_trace=True
-    )
+    checkpoints, price exactly like the object oracle on the same
+    design."""
+    spec, compiled, design = _cell(family_name)
+    arrays = compiled.arrays
+    delta = DeltaEvaluator(compiled)
+    parent = evaluate_candidate(compiled, design, record_trace=True)
     assert parent is not None
-    assert parent.memo is None
     pids = [p.id for p in spec.current.processes]
     messages = [m.id for m in spec.current.messages]
     current = parent
@@ -211,12 +209,9 @@ def test_chained_delta_generations_stay_identical(family_name, data):
             )
         child = move.apply(current.design)
         out, _ = delta.evaluate_move(current, move, child)
-        cold = evaluate_candidate(spec, compiled_obj, scheduler, child)
-        assert (cold is None) == (out is None), move.describe()
-        if cold is None:
+        assert_matches_oracle(spec, child, out, label=move.describe())
+        if out is None:
             continue
-        assert out.metrics == cold.metrics
-        assert out.memo is None
         assert price_counts(
             arrays, out.trace, spec.future
         ) == price_counts_python(arrays, out.trace, spec.future)
@@ -227,12 +222,10 @@ def test_resumed_state_prices_like_cold_state():
     """A child state resumed from the parent's checkpoints prices
     exactly like the same child scheduled cold (nothing of the
     parent's occupancy leaks into the price)."""
-    spec, compiled_obj, compiled_arr, scheduler, design = _cell("pipeline")
-    arrays = compiled_arr.arrays
-    delta = DeltaEvaluator(compiled_arr, scheduler)
-    parent = evaluate_candidate(
-        spec, compiled_arr, scheduler, design, record_trace=True
-    )
+    spec, compiled, design = _cell("pipeline")
+    arrays = compiled.arrays
+    delta = DeltaEvaluator(compiled)
+    parent = evaluate_candidate(compiled, design, record_trace=True)
     assert parent is not None
     pids = [p.id for p in spec.current.processes]
     compared = 0
@@ -257,68 +250,58 @@ def test_resumed_state_prices_like_cold_state():
 
 
 # ----------------------------------------------------------------------
-# engine-level determinism: cache on/off, jobs, cores
+# engine-level determinism: cache on/off, jobs, delta
 # ----------------------------------------------------------------------
-def _engine_metrics(spec, design, moves, **kwargs):
+def _engine_outcomes(spec, design, moves, **kwargs):
     with EvaluationEngine(spec, **kwargs) as engine:
         parent = engine.evaluate(design)
-        outcomes = engine.evaluate_moves(parent, moves)
-        return [o.metrics if o is not None else None for o in outcomes]
+        return engine.evaluate_moves(parent, moves)
 
 
 def test_engine_variants_price_identically():
-    """Cache on/off, jobs=2 and both cores return equal metric lists."""
-    spec, compiled_obj, compiled_arr, scheduler, design = _cell(
-        "uniform-baseline"
-    )
+    """Every engine variant (cache on/off, jobs=2, delta off) prices
+    each child exactly like the object oracle."""
+    spec, _, design = _cell("uniform-baseline")
     pids = [p.id for p in spec.current.processes]
     moves = list(remap_moves(design.mapping, pids))[:20]
-    reference = _engine_metrics(spec, design, moves, engine_core="object")
     for kwargs in (
-        {"engine_core": "array"},
-        {"engine_core": "array", "use_cache": False},
-        {"engine_core": "array", "jobs": 2, "parallel_threshold": 0},
-        {"engine_core": "array", "use_delta": False},
+        {},
+        {"use_cache": False},
+        {"jobs": 2, "parallel_threshold": 0},
+        {"use_delta": False},
     ):
-        assert _engine_metrics(spec, design, moves, **kwargs) == reference
+        outcomes = _engine_outcomes(spec, design, moves, **kwargs)
+        for move, outcome in zip(moves, outcomes):
+            assert_matches_oracle(
+                spec, move.apply(design), outcome, label=f"{kwargs}"
+            )
 
 
 class TestSeededStrategyByteIdentity:
-    """Seeded searches land on the same design under either core --
-    i.e. the array metric path never perturbs a single comparison."""
+    """Every candidate a seeded search visits prices like the object
+    oracle -- i.e. the array metric path never perturbs a single
+    comparison -- and the design is the same with a worker pool."""
 
-    def test_mh(self):
+    def test_mh(self, monkeypatch):
         from repro.experiments.runner import design_identity
 
         family = families.get_family("hetero-mixed")
         spec = family.build(family.smallest_preset, seed=2).spec()
-        reference = design_identity(
-            MappingHeuristic(engine_core="object").design(spec)
-        )
-        for variant in (
-            MappingHeuristic(engine_core="array"),
-            MappingHeuristic(engine_core="array", jobs=2),
-        ):
-            assert design_identity(variant.design(spec)) == reference
-
-    def test_sa(self):
-        from repro.experiments.runner import design_identity
-
-        family = families.get_family("bursty")
-        spec = family.build(family.smallest_preset, seed=1).spec()
-        reference = design_identity(
-            SimulatedAnnealing(
-                iterations=100, seed=7, engine_core="object"
-            ).design(spec)
-        )
+        seen = record_candidates(monkeypatch)
+        reference = design_identity(MappingHeuristic().design(spec))
+        assert_search_matches_oracle(spec, seen)
         assert (
-            design_identity(
-                SimulatedAnnealing(
-                    iterations=100, seed=7, engine_core="array"
-                ).design(spec)
-            )
+            design_identity(MappingHeuristic(jobs=2).design(spec))
             == reference
         )
+
+    def test_sa(self, monkeypatch):
+        family = families.get_family("bursty")
+        spec = family.build(family.smallest_preset, seed=1).spec()
+        seen = record_candidates(monkeypatch)
+        result = SimulatedAnnealing(iterations=100, seed=7).design(spec)
+        assert result.valid
+        assert_search_matches_oracle(spec, seen)
 
 
 # ----------------------------------------------------------------------
@@ -367,66 +350,54 @@ class TestHistPacking:
 # ----------------------------------------------------------------------
 class TestLazyDecode:
     def _outcome(self, record_trace: bool = False):
-        spec, compiled_obj, compiled_arr, scheduler, design = _cell(
-            "uniform-baseline"
-        )
+        spec, compiled, design = _cell("uniform-baseline")
         outcome = evaluate_candidate(
-            spec, compiled_arr, scheduler, design, record_trace=record_trace
+            compiled, design, record_trace=record_trace
         )
         assert outcome is not None
-        return spec, compiled_obj, compiled_arr, scheduler, design, outcome
+        return spec, compiled, design, outcome
 
     def test_hot_path_skips_decode_and_columns(self):
-        _, _, _, _, _, outcome = self._outcome()
+        _, _, _, outcome = self._outcome()
         assert outcome._schedule is None
         assert not outcome._state.columns
 
     def test_lazy_schedule_equals_eager_object_schedule(self):
-        spec, compiled_obj, _, scheduler, design, outcome = self._outcome()
-        eager = evaluate_candidate(spec, compiled_obj, scheduler, design)
+        spec, _, design, outcome = self._outcome()
+        eager, _ = oracle(spec, design)
         lazy = outcome.schedule
         assert outcome._schedule is lazy, "decode was not cached"
-        assert {
-            nid: sorted(
-                (e.process_id, e.instance, e.start, e.end)
-                for e in lazy.entries_on(nid)
-            )
-            for nid in lazy.architecture.node_ids
-        } == {
-            nid: sorted(
-                (e.process_id, e.instance, e.start, e.end)
-                for e in eager.schedule.entries_on(nid)
-            )
-            for nid in eager.schedule.architecture.node_ids
-        }
+        assert occupancy(lazy) == occupancy(eager.schedule)
 
     def test_traced_state_decodes_without_rerun(self):
         """A record_trace outcome owns columns; decode must not re-run
         the pass (the decoded schedule comes from the same state)."""
-        _, _, compiled_arr, _, _, outcome = self._outcome(record_trace=True)
+        _, _, _, outcome = self._outcome(record_trace=True)
         assert outcome._state.columns
         schedule = outcome.schedule
         assert schedule is outcome._schedule  # decoded and cached
 
     def test_pickle_round_trip_drops_and_regains_substrate(self):
-        _, _, compiled_arr, _, _, outcome = self._outcome()
+        _, compiled, _, outcome = self._outcome()
         clone = pickle.loads(pickle.dumps(outcome))
-        assert clone._arrays is None and clone._timings is None
+        assert clone._compiled is None and clone._timings is None
         with pytest.raises(ValueError, match="decode substrate"):
             clone.schedule
-        clone._arrays = compiled_arr.arrays
+        clone._compiled = compiled
         assert clone.schedule is not None
         assert clone.metrics == outcome.metrics
 
     def test_decode_schedule_refuses_columnless_states(self):
-        spec, _, compiled_arr, scheduler, design, _ = self._outcome()
-        arrays = compiled_arr.arrays
+        _, compiled, design, _ = self._outcome()
+        arrays = compiled.arrays
         state = arrays.schedule_design(design)  # hot path: no columns
         assert state.success and not state.columns
         with pytest.raises(ValueError, match="columnless"):
             arrays.decode_schedule(state)
 
     def test_constructor_refuses_scheduleless_without_state(self):
-        _, _, _, _, _, outcome = self._outcome()
-        with pytest.raises(ValueError, match="schedule or an array state"):
-            EvaluatedDesign(outcome.design, None, outcome.metrics)
+        """The compiled spec every schedule decodes against is a
+        required constructor argument."""
+        _, _, _, outcome = self._outcome()
+        with pytest.raises(TypeError, match="compiled"):
+            EvaluatedDesign(outcome.design, outcome.metrics)

@@ -3,8 +3,8 @@
 The contract under test: for any parent design and any transformation,
 evaluating the child through the delta path produces an outcome
 **bit-identical** to a cold evaluation -- schedule occupancy, metrics,
-validity verdicts, failure reasons, and even the recorded trace (so
-children chain as parents).  Plus: move footprints, engine/cache
+validity verdicts, failure reasons, and even the recorded column trace
+(so children chain as parents).  Plus: move footprints, engine/cache
 integration, pool-path determinism, and seeded strategy equivalence
 with delta on/off.
 """
@@ -29,6 +29,7 @@ from repro.core.transformations import (
     SwapPriorities,
     remap_moves,
 )
+from kernel_oracle import occupancy, trace_identity
 from repro.engine import EvaluationEngine, evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.delta import DeltaEvaluator, DeltaStats
@@ -36,34 +37,12 @@ from repro.gen import families
 from repro.sched.list_scheduler import ListScheduler
 
 
-def occupancy(schedule):
-    """Canonical rendering of a schedule's full occupancy."""
-    nodes = {
-        node_id: sorted(
-            (e.process_id, e.instance, e.start, e.end, e.frozen)
-            for e in schedule.entries_on(node_id)
-        )
-        for node_id in schedule.architecture.node_ids
-    }
-    bus = sorted(
-        (o.message_id, o.instance, o.node_id, o.round_index, o.size, o.frozen)
-        for o in schedule.bus.all_entries()
-    )
-    return nodes, bus
+def column_trace(compiled, outcome):
+    """An outcome's recorded column trace as a :class:`ScheduleTrace`."""
+    return trace_identity(compiled.arrays.to_schedule_trace(outcome.trace))
 
 
-def trace_identity(trace):
-    """Canonical rendering of a schedule trace."""
-    return (
-        [tuple(event) for event in trace.events],
-        trace.ready_at,
-        trace.pop_index,
-        trace.node_last,
-        trace.bus_last,
-    )
-
-
-def im_parent(spec, compiled, scheduler):
+def im_parent(spec, compiled):
     """A traced parent evaluation at the Initial Mapping."""
     mapper = InitialMapper(spec.architecture)
     outcome = mapper.try_map_and_schedule(
@@ -72,9 +51,7 @@ def im_parent(spec, compiled, scheduler):
     assert outcome is not None
     mapping, _ = outcome
     parent = evaluate_candidate(
-        spec,
         compiled,
-        scheduler,
         CandidateDesign(mapping, dict(compiled.default_priorities)),
         record_trace=True,
     )
@@ -102,14 +79,13 @@ def systematic_moves(spec, parent, limit_delays: int = 8):
 @pytest.fixture(scope="module")
 def kernel(spec):
     compiled = CompiledSpec(spec)
-    scheduler = ListScheduler(spec.architecture)
-    return compiled, scheduler, DeltaEvaluator(compiled, scheduler)
+    return compiled, DeltaEvaluator(compiled)
 
 
 class TestFootprints:
     def test_remap_includes_colocated_senders_only(self, spec, kernel):
-        compiled, scheduler, _ = kernel
-        parent = im_parent(spec, compiled, scheduler)
+        compiled, _ = kernel
+        parent = im_parent(spec, compiled)
         mapping = parent.design.mapping
         for process in spec.current.processes:
             current_node = mapping.node_of(process.id)
@@ -126,16 +102,16 @@ class TestFootprints:
                     assert (msg.src in fp.processes) == expected
 
     def test_swap_footprint_is_priority_only(self, spec, kernel):
-        compiled, scheduler, _ = kernel
-        parent = im_parent(spec, compiled, scheduler)
+        compiled, _ = kernel
+        parent = im_parent(spec, compiled)
         pids = [p.id for p in spec.current.processes]
         fp = SwapPriorities(pids[0], pids[1]).footprint(parent.design)
         assert fp.reprioritized == {pids[0], pids[1]}
         assert not fp.processes
 
     def test_delay_footprint_is_the_sender(self, spec, kernel):
-        compiled, scheduler, _ = kernel
-        parent = im_parent(spec, compiled, scheduler)
+        compiled, _ = kernel
+        parent = im_parent(spec, compiled)
         msg = spec.current.messages[0]
         fp = DelayMessage(msg.id, +1).footprint(parent.design)
         assert fp.processes == {msg.src}
@@ -144,14 +120,12 @@ class TestFootprints:
 
 class TestDeltaEqualsCold:
     def test_systematic_neighbourhood(self, spec, kernel):
-        compiled, scheduler, delta = kernel
-        parent = im_parent(spec, compiled, scheduler)
+        compiled, delta = kernel
+        parent = im_parent(spec, compiled)
         used = 0
         for move in systematic_moves(spec, parent):
             child = move.apply(parent.design)
-            cold = evaluate_candidate(
-                spec, compiled, scheduler, child, record_trace=True
-            )
+            cold = evaluate_candidate(compiled, child, record_trace=True)
             out, via_delta = delta.evaluate_move(parent, move, child)
             used += via_delta
             assert (cold is None) == (out is None), move.describe()
@@ -159,13 +133,13 @@ class TestDeltaEqualsCold:
                 continue
             assert occupancy(cold.schedule) == occupancy(out.schedule)
             assert cold.metrics == out.metrics
-            assert trace_identity(cold.trace) == trace_identity(out.trace)
+            assert column_trace(compiled, cold) == column_trace(compiled, out)
         assert used > 0  # the incremental path actually ran
 
     def test_chained_generations(self, spec, kernel):
         """Delta children serve as parents: a whole walk stays exact."""
-        compiled, scheduler, delta = kernel
-        current = im_parent(spec, compiled, scheduler)
+        compiled, delta = kernel
+        current = im_parent(spec, compiled)
         import random
 
         rng = random.Random(11)
@@ -188,15 +162,15 @@ class TestDeltaEqualsCold:
             else:
                 move = DelayMessage(rng.choice(messages), rng.choice([1, -1]))
             child = move.apply(current.design)
-            cold = evaluate_candidate(
-                spec, compiled, scheduler, child, record_trace=True
-            )
+            cold = evaluate_candidate(compiled, child, record_trace=True)
             out, _ = delta.evaluate_move(current, move, child)
             assert (cold is None) == (out is None)
             if cold is not None:
                 assert occupancy(cold.schedule) == occupancy(out.schedule)
                 assert cold.metrics == out.metrics
-                assert trace_identity(cold.trace) == trace_identity(out.trace)
+                assert column_trace(compiled, cold) == column_trace(
+                    compiled, out
+                )
                 current = out
 
     def test_failure_reasons_match(self):
@@ -214,8 +188,8 @@ class TestDeltaEqualsCold:
         spec = scenario.spec()
         compiled = CompiledSpec(spec)
         scheduler = ListScheduler(spec.architecture)
-        delta = DeltaEvaluator(compiled, scheduler)
-        parent = im_parent(spec, compiled, scheduler)
+        delta = DeltaEvaluator(compiled)
+        parent = im_parent(spec, compiled)
         checked = 0
         for move in systematic_moves(spec, parent, limit_delays=20):
             child = move.apply(parent.design)
@@ -228,14 +202,13 @@ class TestDeltaEqualsCold:
             )
             if cold.success:
                 continue
-            attempt = delta.try_resume(parent, move, child)
-            if attempt is None:
+            resumed = delta.try_resume_arrays(parent, move, child)
+            if resumed is None:
                 continue  # fell back; cold path is the delta path
-            result, _, _ = attempt
-            assert not result.success
-            assert result.failure_reason == cold.failure_reason
-            assert result.scheduled_jobs == cold.scheduled_jobs
-            assert result.total_jobs == cold.total_jobs
+            assert not resumed.success
+            assert resumed.failure_reason == cold.failure_reason
+            assert resumed.scheduled == cold.scheduled_jobs
+            assert resumed.total == cold.total_jobs
             checked += 1
         assert checked > 0, "scenario produced no invalid children to compare"
 
@@ -245,7 +218,7 @@ class TestEngineMoveAPI:
         with EvaluationEngine(spec) as delta_on, EvaluationEngine(
             spec, use_delta=False
         ) as delta_off:
-            parent_on = im_parent(spec, delta_on.compiled, ListScheduler(spec.architecture))
+            parent_on = im_parent(spec, delta_on.compiled)
             moves = systematic_moves(spec, parent_on)
             for move in moves:
                 a = delta_on.evaluate_move(parent_on, move)
@@ -265,11 +238,10 @@ class TestEngineMoveAPI:
             assert delta_off.delta_stats() == DeltaStats(0, 0)
 
     def test_evaluate_moves_matches_evaluate_many(self, spec):
-        scheduler = ListScheduler(spec.architecture)
         with EvaluationEngine(spec) as a, EvaluationEngine(
             spec, use_delta=False
         ) as b:
-            parent = im_parent(spec, a.compiled, scheduler)
+            parent = im_parent(spec, a.compiled)
             moves = systematic_moves(spec, parent)
             moves = moves + moves[:5]  # duplicates exercise the dedup plan
             res_a = a.evaluate_moves(parent, moves)
@@ -283,14 +255,11 @@ class TestEngineMoveAPI:
             assert a.cache_stats().misses == b.cache_stats().misses
 
     def test_pool_path_matches_serial_and_stats(self, spec):
-        scheduler = ListScheduler(spec.architecture)
         with EvaluationEngine(spec, use_cache=False) as serial, EvaluationEngine(
             spec, use_cache=False, jobs=2, parallel_threshold=0
         ) as pooled:
-            parent_s = im_parent(spec, serial.compiled, scheduler)
-            parent_p = im_parent(
-                spec, pooled.compiled, ListScheduler(spec.architecture)
-            )
+            parent_s = im_parent(spec, serial.compiled)
+            parent_p = im_parent(spec, pooled.compiled)
             moves = systematic_moves(spec, parent_s)
             res_s = serial.evaluate_moves(parent_s, moves)
             res_p = pooled.evaluate_moves(parent_p, moves)
@@ -299,15 +268,13 @@ class TestEngineMoveAPI:
                 if x is not None:
                     assert x.metrics == y.metrics
                     assert occupancy(x.schedule) == occupancy(y.schedule)
-                    # pooled outcomes carry the delta attachments too
-                    assert y.trace is not None and y.memo is not None
+                    # pooled outcomes carry the delta attachment too
+                    assert y.trace is not None
             assert serial.delta_stats() == pooled.delta_stats()
 
     def test_closed_engine_refuses_move_evaluation(self, spec):
         engine = EvaluationEngine(spec)
-        parent = im_parent(
-            spec, engine.compiled, ListScheduler(spec.architecture)
-        )
+        parent = im_parent(spec, engine.compiled)
         move = systematic_moves(spec, parent)[0]
         engine.close()
         with pytest.raises(RuntimeError):
@@ -317,9 +284,7 @@ class TestEngineMoveAPI:
 
     def test_traceless_parent_falls_back(self, spec):
         with EvaluationEngine(spec, use_cache=False) as engine:
-            parent = im_parent(
-                spec, engine.compiled, ListScheduler(spec.architecture)
-            )
+            parent = im_parent(spec, engine.compiled)
             parent.trace = None
             move = systematic_moves(spec, parent)[0]
             out = engine.evaluate_move(parent, move)
@@ -335,9 +300,7 @@ class TestSteepestDescentDelta:
     def test_descent_identical_with_delta_off_and_pool(self, spec):
         def run(**kwargs):
             with DesignEvaluator(spec, **kwargs) as evaluator:
-                parent = im_parent(
-                    spec, evaluator.compiled, ListScheduler(spec.architecture)
-                )
+                parent = im_parent(spec, evaluator.compiled)
                 best = steepest_descent(
                     spec, evaluator, parent, DescentParams(max_iterations=6)
                 )
@@ -365,10 +328,9 @@ def _family_fixture(family_name: str, seed: int):
     scenario = family.build(family.smallest_preset, seed=seed)
     spec = scenario.spec()
     compiled = CompiledSpec(spec)
-    scheduler = ListScheduler(spec.architecture)
-    delta = DeltaEvaluator(compiled, scheduler)
-    parent = im_parent(spec, compiled, scheduler)
-    return spec, compiled, scheduler, delta, parent
+    delta = DeltaEvaluator(compiled)
+    parent = im_parent(spec, compiled)
+    return spec, compiled, delta, parent
 
 
 @pytest.mark.parametrize("family_name", families.family_names())
@@ -381,9 +343,7 @@ def _family_fixture(family_name: str, seed: int):
 def test_delta_equals_cold_property(family_name, data):
     """Random move sequences on every family: delta == cold, chained."""
     seed = data.draw(st.sampled_from([1, 2]), label="scenario seed")
-    spec, compiled, scheduler, delta, parent = _family_fixture(
-        family_name, seed
-    )
+    spec, compiled, delta, parent = _family_fixture(family_name, seed)
     pids = [p.id for p in spec.current.processes]
     messages = [m.id for m in spec.current.messages]
     current = parent
@@ -421,16 +381,14 @@ def test_delta_equals_cold_property(family_name, data):
                 data.draw(st.sampled_from([1, -1]), label="delta"),
             )
         child = move.apply(current.design)
-        cold = evaluate_candidate(
-            spec, compiled, scheduler, child, record_trace=True
-        )
+        cold = evaluate_candidate(compiled, child, record_trace=True)
         out, _ = delta.evaluate_move(current, move, child)
         assert (cold is None) == (out is None), move.describe()
         if cold is None:
             continue
         assert occupancy(cold.schedule) == occupancy(out.schedule)
         assert cold.metrics == out.metrics
-        assert trace_identity(cold.trace) == trace_identity(out.trace)
+        assert column_trace(compiled, cold) == column_trace(compiled, out)
         current = out
 
 

@@ -51,10 +51,7 @@ class TestSqliteStore:
         path = tmp_path / "store.sqlite"
         signature = compiled.signature(im_design)
         writer = SqliteResultStore(path, compiled=compiled)
-        cold = batch_module.evaluate_candidate(
-            spec, compiled, batch_module.ListScheduler(spec.architecture),
-            im_design,
-        )
+        cold = batch_module.evaluate_candidate(compiled, im_design)
         assert cold is not None
         writer.put(signature, cold)
         writer.close()
@@ -337,7 +334,7 @@ class TestResidentParentSentinel:
     def test_invalid_parent_cold_built_once(self, spec, monkeypatch):
         """Regression: a resident parent whose verdict is ``None``
         (invalid) must not be rebuilt on every chunk naming it."""
-        batch_module._init_worker(spec, True, "array")
+        batch_module._init_worker(spec, True)
         try:
             calls = {"n": 0}
 

@@ -269,3 +269,113 @@ class TestStoreCli:
         )
         assert code == 2
         assert "requires --cache-path" in capsys.readouterr().err
+
+
+class TestNumericFlags:
+    """Numeric flags are validated at parse time: exit 2 with a precise
+    message instead of a traceback (or, for NaN, a silently ignored
+    budget or gate)."""
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--sa-iterations", "-5", "expected a non-negative integer"),
+            ("--budget-seconds", "-1", "finite non-negative number of seconds"),
+            ("--budget-seconds", "nan", "finite non-negative number of seconds"),
+            ("--budget-seconds", "inf", "finite non-negative number of seconds"),
+        ],
+    )
+    def test_run_rejects(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", "run", "uniform-baseline", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and message in err
+
+    @pytest.mark.parametrize("command", ["fig-quality", "portfolio", "sweep"])
+    def test_every_subcommand_rejects_nan_seconds(self, capsys, command):
+        argv = (
+            [command]
+            if command.startswith("fig")
+            else ["scenarios", command]
+            + (["uniform-baseline"] if command == "portfolio" else [])
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget-seconds", "nan"])
+        assert exc.value.code == 2
+        assert "finite non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-0.1", "1.5"])
+    def test_min_store_hit_rate_must_be_a_rate(self, capsys, tmp_path, value):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "scenarios", "smoke",
+                    "--cache-store", "sqlite",
+                    "--cache-path", str(tmp_path / "s.sqlite"),
+                    "--min-store-hit-rate", value,
+                ]
+            )
+        assert exc.value.code == 2
+        assert "expected a rate between 0 and 1" in capsys.readouterr().err
+
+    def test_min_store_hit_rate_requires_sqlite(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", "smoke", "--min-store-hit-rate", "0.9"])
+        assert exc.value.code == 2
+        assert (
+            "--min-store-hit-rate requires --cache-store sqlite"
+            in capsys.readouterr().err
+        )
+
+
+class TestPortfolioCli:
+    @staticmethod
+    def _member_rows(out):
+        """The member table as ``{member: {column: cell}}``."""
+        lines = out.splitlines()
+        start = next(
+            i for i, line in enumerate(lines) if line.startswith("member ")
+        )
+        headers = [h.strip() for h in lines[start].split("|")]
+        rows = {}
+        for line in lines[start + 2:]:
+            if "|" not in line:
+                break
+            cells = [c.strip() for c in line.split("|")]
+            rows[cells[0]] = dict(zip(headers, cells))
+        return rows
+
+    @pytest.mark.parametrize("shards", ["0", "2"])
+    def test_member_table_reports_member_times(self, capsys, shards):
+        """Every member that evaluated shows its own non-zero runtime,
+        scheduling and metric time, in-process and sharded."""
+        code = main(
+            [
+                "scenarios", "portfolio", "uniform-baseline",
+                "--strategies", "AH", "MH", "SA",
+                "--sa-iterations", "40",
+                "--shards", shards,
+            ]
+        )
+        assert code == 0
+        rows = self._member_rows(capsys.readouterr().out)
+        assert set(rows) == {"AH", "MH", "SA"}
+        evaluated = [r for r in rows.values() if int(r["evals served"]) > 0]
+        assert len(evaluated) == 2
+        for row in evaluated:
+            for column in ("runtime s", "sched ms", "metrics ms"):
+                assert float(row[column]) > 0, (row["member"], column)
+
+    def test_check_determinism_runs_the_oracle(self, capsys):
+        code = main(
+            [
+                "scenarios", "portfolio", "uniform-baseline",
+                "--strategies", "MH", "SA",
+                "--sa-iterations", "40",
+                "--check-determinism",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "determinism checks passed (oracle, repeat" in out

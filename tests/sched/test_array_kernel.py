@@ -1,12 +1,11 @@
-"""Tests for the structure-of-arrays scheduler core (``--engine-core``).
+"""Tests for the structure-of-arrays scheduler core (the runtime core).
 
 The contract under test: the array kernel of :mod:`repro.sched.arrays`
-is **byte-identical** to the pinned object core -- schedules, decoded
-traces, metrics, failure reasons and delta chains match on every
-registered scenario family, and seeded strategy runs produce the same
-design under either core.  Plus the core-selection plumbing: unknown
-cores are rejected, and a missing numpy degrades ``array`` to
-``object`` with a warning instead of failing.
+is **byte-identical** to the object kernel, which stays as the test
+oracle (:mod:`kernel_oracle`) -- schedules, decoded traces, metrics,
+failure reasons and delta chains match on every registered scenario
+family, and every candidate a seeded strategy run visits matches the
+oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kernel_oracle import (
+    assert_matches_oracle,
+    assert_search_matches_oracle,
+    occupancy,
+    record_candidates,
+)
 from repro.core.initial_mapping import InitialMapper
 from repro.core.mapping_heuristic import MappingHeuristic
 from repro.core.simulated_annealing import SimulatedAnnealing
@@ -33,8 +38,6 @@ from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.delta import DeltaEvaluator
 from repro.gen import families
 from repro.gen.scenario import ScenarioParams, build_scenario
-from repro.sched import arrays as arrays_module
-from repro.sched.arrays import ArrayRunState, resolve_engine_core
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.trace import heap_key
 
@@ -45,33 +48,6 @@ def spec():
     return build_scenario(
         ScenarioParams(n_existing=12, n_current=8), seed=3
     ).spec()
-
-
-def occupancy(schedule):
-    """Canonical rendering of a schedule's full occupancy."""
-    nodes = {
-        node_id: sorted(
-            (e.process_id, e.instance, e.start, e.end, e.frozen)
-            for e in schedule.entries_on(node_id)
-        )
-        for node_id in schedule.architecture.node_ids
-    }
-    bus = sorted(
-        (o.message_id, o.instance, o.node_id, o.round_index, o.size, o.frozen)
-        for o in schedule.bus.all_entries()
-    )
-    return nodes, bus
-
-
-def trace_identity(trace):
-    """Canonical rendering of a schedule trace."""
-    return (
-        [tuple(event) for event in trace.events],
-        trace.ready_at,
-        trace.pop_index,
-        trace.node_last,
-        trace.bus_last,
-    )
 
 
 def im_design(spec, compiled):
@@ -94,39 +70,6 @@ def systematic_moves(spec, design, limit_delays: int = 8):
         for delta in (+1, -1)
     )
     return moves
-
-
-# ----------------------------------------------------------------------
-# core selection and numpy degradation
-# ----------------------------------------------------------------------
-class TestCoreSelection:
-    def test_known_cores_pass_through(self):
-        assert resolve_engine_core("array") == "array"
-        assert resolve_engine_core("object") == "object"
-
-    def test_unknown_core_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine core"):
-            resolve_engine_core("vectorised")
-
-    def test_array_degrades_to_object_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(arrays_module, "HAVE_NUMPY", False)
-        with pytest.warns(RuntimeWarning, match="degrades to"):
-            assert resolve_engine_core("array") == "object"
-
-    def test_object_stays_silent_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(arrays_module, "HAVE_NUMPY", False)
-        assert resolve_engine_core("object") == "object"
-
-    def test_compiled_spec_degrades_with_warning(self, spec, monkeypatch):
-        monkeypatch.setattr(arrays_module, "HAVE_NUMPY", False)
-        with pytest.warns(RuntimeWarning):
-            compiled = CompiledSpec(spec, engine_core="array")
-        assert compiled.engine_core == "object"
-        assert not compiled.use_arrays
-
-    def test_compiled_spec_rejects_unknown_core(self, spec):
-        with pytest.raises(ValueError):
-            CompiledSpec(spec, engine_core="simd")
 
 
 # ----------------------------------------------------------------------
@@ -158,41 +101,24 @@ class TestRankIsomorphism:
 def _family_cell(family_name: str, seed: int):
     family = families.get_family(family_name)
     spec = family.build(family.smallest_preset, seed=seed).spec()
-    compiled_obj = CompiledSpec(spec, engine_core="object")
-    compiled_arr = CompiledSpec(spec, engine_core="array")
-    scheduler = ListScheduler(spec.architecture)
-    return spec, compiled_obj, compiled_arr, scheduler
+    return spec, CompiledSpec(spec)
 
 
 @pytest.mark.parametrize("family_name", families.family_names())
 @pytest.mark.parametrize("seed", [1, 2])
 def test_cold_equivalence_on_family(family_name, seed):
-    """Schedules, traces and metrics match on the IM neighbourhood."""
-    spec, compiled_obj, compiled_arr, scheduler = _family_cell(
-        family_name, seed
-    )
-    arr = compiled_arr.arrays
-    design = im_design(spec, compiled_obj)
+    """Schedules, traces and metrics match the oracle on the IM
+    neighbourhood."""
+    spec, compiled = _family_cell(family_name, seed)
+    arr = compiled.arrays
+    design = im_design(spec, compiled)
     compared = 0
     for child in [design] + [
         m.apply(design) for m in systematic_moves(spec, design)
     ]:
-        cold = evaluate_candidate(
-            spec, compiled_obj, scheduler, child, record_trace=True
-        )
-        fast = evaluate_candidate(
-            spec, compiled_arr, scheduler, child, record_trace=True
-        )
-        assert (cold is None) == (fast is None)
-        if cold is None:
-            continue
-        assert cold.metrics == fast.metrics
-        assert occupancy(cold.schedule) == occupancy(fast.schedule)
-        assert isinstance(fast.trace, ArrayRunState)
-        assert trace_identity(cold.trace) == trace_identity(
-            arr.to_schedule_trace(fast.trace)
-        )
-        compared += 1
+        fast = evaluate_candidate(compiled, child, record_trace=True)
+        assert_matches_oracle(spec, child, fast, arr)
+        compared += fast is not None
     assert compared > 0
 
 
@@ -232,19 +158,13 @@ def test_failure_reasons_match():
 # ----------------------------------------------------------------------
 @functools.lru_cache(maxsize=32)
 def _delta_cell(family_name: str, seed: int):
-    spec, compiled_obj, compiled_arr, scheduler = _family_cell(
-        family_name, seed
-    )
-    delta = DeltaEvaluator(compiled_arr, scheduler)
+    spec, compiled = _family_cell(family_name, seed)
+    delta = DeltaEvaluator(compiled)
     parent = evaluate_candidate(
-        spec,
-        compiled_arr,
-        scheduler,
-        im_design(spec, compiled_arr),
-        record_trace=True,
+        compiled, im_design(spec, compiled), record_trace=True
     )
     assert parent is not None
-    return spec, compiled_obj, compiled_arr, scheduler, delta, parent
+    return spec, compiled, delta, parent
 
 
 @pytest.mark.parametrize("family_name", families.family_names())
@@ -257,10 +177,8 @@ def _delta_cell(family_name: str, seed: int):
 def test_array_delta_equals_object_cold_property(family_name, data):
     """Random move chains on every family: array delta == object cold."""
     seed = data.draw(st.sampled_from([1, 2]), label="scenario seed")
-    spec, compiled_obj, compiled_arr, scheduler, delta, parent = _delta_cell(
-        family_name, seed
-    )
-    arr = compiled_arr.arrays
+    spec, compiled, delta, parent = _delta_cell(family_name, seed)
+    arr = compiled.arrays
     pids = [p.id for p in spec.current.processes]
     messages = [m.id for m in spec.current.messages]
     current = parent
@@ -298,56 +216,47 @@ def test_array_delta_equals_object_cold_property(family_name, data):
                 data.draw(st.sampled_from([1, -1]), label="delta"),
             )
         child = move.apply(current.design)
-        cold = evaluate_candidate(
-            spec, compiled_obj, scheduler, child, record_trace=True
-        )
         out, _ = delta.evaluate_move(current, move, child)
-        assert (cold is None) == (out is None), move.describe()
-        if cold is None:
-            continue
-        assert occupancy(cold.schedule) == occupancy(out.schedule)
-        assert cold.metrics == out.metrics
-        assert trace_identity(cold.trace) == trace_identity(
-            arr.to_schedule_trace(out.trace)
-        )
-        current = out
+        assert_matches_oracle(spec, child, out, arr, move.describe())
+        if out is not None:
+            current = out
 
 
 # ----------------------------------------------------------------------
-# seeded strategies: byte-identical designs under either core
+# seeded strategies: every visited candidate matches the oracle
 # ----------------------------------------------------------------------
 class TestSeededStrategyEquivalence:
+    """The array runtime against the object oracle over whole searches:
+    every candidate a seeded run evaluates is rescheduled and re-priced
+    by the object kernel, and the design stays the same with a worker
+    pool or with incremental evaluation off."""
+
     @pytest.mark.parametrize("family_name", ["uniform-baseline", "pipeline"])
-    def test_mh_identical_across_cores(self, family_name):
+    def test_mh_identical_across_cores(self, family_name, monkeypatch):
         from repro.experiments.runner import design_identity
 
         family = families.get_family(family_name)
         spec = family.build(family.smallest_preset, seed=1).spec()
-        reference = design_identity(
-            MappingHeuristic(engine_core="object").design(spec)
-        )
+        seen = record_candidates(monkeypatch)
+        reference = design_identity(MappingHeuristic().design(spec))
+        assert_search_matches_oracle(spec, seen)
         for variant in (
-            MappingHeuristic(engine_core="array"),
-            MappingHeuristic(engine_core="array", jobs=2),
-            MappingHeuristic(engine_core="array", use_delta=False),
+            MappingHeuristic(jobs=2),
+            MappingHeuristic(use_delta=False),
         ):
             assert design_identity(variant.design(spec)) == reference
 
-    def test_sa_identical_across_cores(self, spec):
+    def test_sa_identical_across_cores(self, spec, monkeypatch):
         from repro.experiments.runner import design_identity
 
+        seen = record_candidates(monkeypatch)
         reference = design_identity(
-            SimulatedAnnealing(
-                iterations=120, seed=3, engine_core="object"
-            ).design(spec)
+            SimulatedAnnealing(iterations=120, seed=3).design(spec)
         )
-        for variant in (
-            SimulatedAnnealing(iterations=120, seed=3, engine_core="array"),
-            SimulatedAnnealing(
-                iterations=120, seed=3, engine_core="array", jobs=2
-            ),
-        ):
-            assert design_identity(variant.design(spec)) == reference
+        assert_search_matches_oracle(spec, seen)
+        assert design_identity(
+            SimulatedAnnealing(iterations=120, seed=3, jobs=2).design(spec)
+        ) == reference
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +264,7 @@ class TestSeededStrategyEquivalence:
 # ----------------------------------------------------------------------
 class TestRunStatePickling:
     def test_round_trip_preserves_columns_and_resumability(self, spec):
-        compiled = CompiledSpec(spec, engine_core="array")
+        compiled = CompiledSpec(spec)
         arr = compiled.arrays
         design = im_design(spec, compiled)
         state = arr.schedule_design(design, record=True)

@@ -45,6 +45,13 @@ class TestBudgetLimits:
         with pytest.raises(ValueError):
             Budget(max_seconds=-0.5)
 
+    def test_nan_limit_rejected(self):
+        """NaN compares false to everything, so a NaN limit would never
+        stop a search; the constructor refuses it on every axis."""
+        for name in ("max_steps", "max_evaluations", "max_seconds", "patience"):
+            with pytest.raises(ValueError, match="non-negative"):
+                Budget(**{name: float("nan")})
+
     def test_zero_budget_stops_immediately(self):
         assert Budget(max_steps=0).stop_reason(BudgetProgress()) == "budget:steps"
 
