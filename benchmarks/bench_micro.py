@@ -20,9 +20,8 @@ import pytest
 from repro.core.binpack import best_fit
 from repro.core.initial_mapping import InitialMapper
 from repro.core.metrics import evaluate_design
-from repro.core.strategy import DesignEvaluator
 from repro.core.transformations import CandidateDesign
-from repro.engine import CompiledSpec
+from repro.engine import CompiledSpec, EvaluationEngine
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.priorities import hcp_priorities
 
@@ -85,9 +84,9 @@ def test_compiled_list_scheduling(benchmark, prepared):
 def test_engine_first_evaluation(benchmark, prepared, candidate):
     """One cold engine evaluation (schedule + metrics, cache miss)."""
     scenario, _, _, _ = prepared
-    evaluator = DesignEvaluator(scenario.spec(), use_cache=False)
+    engine = EvaluationEngine(scenario.spec(), use_cache=False)
 
-    out = benchmark(lambda: evaluator.evaluate(candidate))
+    out = benchmark(lambda: engine.evaluate(candidate))
     assert out is not None
 
 
@@ -99,12 +98,12 @@ def test_engine_cached_reevaluation(benchmark, prepared, candidate):
     search loops.
     """
     scenario, _, _, _ = prepared
-    evaluator = DesignEvaluator(scenario.spec(), use_cache=True)
-    assert evaluator.evaluate(candidate) is not None  # warm the cache
+    engine = EvaluationEngine(scenario.spec(), use_cache=True)
+    assert engine.evaluate(candidate) is not None  # warm the cache
 
-    out = benchmark(lambda: evaluator.evaluate(candidate))
+    out = benchmark(lambda: engine.evaluate(candidate))
     assert out is not None
-    assert evaluator.cache_hits > 0
+    assert engine.cache_hits > 0
 
 
 def test_metric_evaluation(benchmark, prepared):

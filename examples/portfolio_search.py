@@ -20,8 +20,8 @@ Run:  python examples/portfolio_search.py
 import numpy as np
 
 from repro.core.initial_mapping import InitialMapper
-from repro.core.strategy import DesignEvaluator
 from repro.core.transformations import CandidateDesign
+from repro.engine import EvaluationEngine
 from repro.experiments.runner import run_portfolio
 from repro.gen import families
 from repro.search import (
@@ -91,24 +91,24 @@ def main() -> None:
             name="walk",
         )
 
-    with DesignEvaluator(spec) as evaluator:
+    with EvaluationEngine(spec) as engine:
         mapper = InitialMapper(spec.architecture)
         mapping, _ = mapper.try_map_and_schedule(
             spec.current,
             base=spec.base_schedule,
-            compiled=evaluator.compiled,
+            compiled=engine.compiled,
         )
-        start = evaluator.evaluate(
+        start = engine.evaluate(
             CandidateDesign(
-                mapping, dict(evaluator.compiled.default_priorities)
+                mapping, dict(engine.compiled.default_priorities)
             )
         )
 
         straight = walk(200).run(
-            spec, evaluator, start=start, rng=np.random.default_rng(7)
+            spec, engine, start=start, rng=np.random.default_rng(7)
         )
         cut = walk(80).run(
-            spec, evaluator, start=start, rng=np.random.default_rng(7)
+            spec, engine, start=start, rng=np.random.default_rng(7)
         )
         wire = cut.checkpoint.to_json()
         print(
@@ -117,7 +117,7 @@ def main() -> None:
             f"checkpoint is {len(wire)} bytes of JSON"
         )
         resumed = walk(200).resume(
-            spec, evaluator, SearchCheckpoint.from_json(wire)
+            spec, engine, SearchCheckpoint.from_json(wire)
         )
         print(
             f"  resumed to step {resumed.stats.steps}: "

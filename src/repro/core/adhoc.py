@@ -19,19 +19,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.initial_mapping import InitialMapper
-from repro.core.strategy import (
-    DesignEvaluator,
-    DesignResult,
-    DesignSpec,
-    timed,
-)
+from repro.core.strategy import DesignResult, DesignSpec, timed
+from repro.engine.engine import EvaluationEngine
 from repro.search.budget import Budget
 
 @dataclass
 class AdHocStrategy:
     """Validity-only design: Initial Mapping with no optimization.
 
-    ``use_cache``, ``jobs``, ``use_delta``, ``cache_store``/
+    ``use_cache``, ``use_delta``, ``cache_store``/
     ``cache_path`` and ``budget`` exist so every strategy shares one
     construction signature (the experiment runner passes them
     uniformly); AH performs a single evaluation, so none of them
@@ -39,7 +35,6 @@ class AdHocStrategy:
     """
 
     use_cache: bool = True
-    jobs: int = 1
     use_delta: bool = True
     cache_store: str = "memory"
     cache_path: Optional[str] = None
@@ -53,10 +48,8 @@ class AdHocStrategy:
     @timed
     def design(self, spec: DesignSpec) -> DesignResult:
         """Run IM once and report its design as-is."""
-        with DesignEvaluator(
-            spec, use_cache=False, use_delta=False
-        ) as evaluator:
-            return self._design(spec, evaluator.compiled)
+        with EvaluationEngine(spec, use_cache=False, use_delta=False) as engine:
+            return self._design(spec, engine.compiled)
 
     def _design(self, spec: DesignSpec, compiled) -> DesignResult:
         from repro.core.metrics import evaluate_design

@@ -17,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.strategy import DesignEvaluator, DesignSpec, EvaluatedDesign
+from repro.core.strategy import DesignSpec
 from repro.core.transformations import Transformation
+from repro.engine.engine import EvaluationEngine
+from repro.engine.evaluation import EvaluatedDesign
 from repro.search.acceptors import GreedyAcceptor
 from repro.search.budget import Budget
 from repro.search.loop import SearchLoop, SearchOutcome
@@ -64,7 +66,7 @@ def generate_moves(
 
 
 def best_improving_move(
-    evaluator: DesignEvaluator,
+    evaluator: EvaluationEngine,
     best: EvaluatedDesign,
     moves: List[Transformation],
     min_improvement: float,
@@ -74,10 +76,9 @@ def best_improving_move(
     The whole neighbourhood is scored in one :meth:`evaluate_moves`
     batch against the shared parent ``best`` -- cached outcomes are
     served directly, the remainder is rescheduled incrementally from
-    the parent's checkpoints (or cold with ``--no-delta``), in
-    parallel when the evaluator runs with ``jobs > 1``.  The winner
-    scan walks the results in move order, so serial, cached, delta and
-    parallel runs pick the identical move.
+    the parent's checkpoints (or cold with ``--no-delta``).  The winner
+    scan walks the results in move order, so cached, uncached and
+    delta runs pick the identical move.
     """
     if not moves:
         return None
@@ -111,7 +112,7 @@ def descent_loop(
 
 def steepest_descent(
     spec: DesignSpec,
-    evaluator: DesignEvaluator,
+    evaluator: EvaluationEngine,
     start: EvaluatedDesign,
     params: Optional[DescentParams] = None,
     budget: Optional[Budget] = None,
@@ -124,7 +125,7 @@ def steepest_descent(
 
 def steepest_descent_outcome(
     spec: DesignSpec,
-    evaluator: DesignEvaluator,
+    evaluator: EvaluationEngine,
     start: EvaluatedDesign,
     params: Optional[DescentParams] = None,
     budget: Optional[Budget] = None,

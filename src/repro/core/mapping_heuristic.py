@@ -36,14 +36,10 @@ from typing import Optional
 
 from repro.core.improvement import DescentParams, descent_loop
 from repro.core.initial_mapping import InitialMapper
-from repro.core.strategy import (
-    DesignEvaluator,
-    DesignResult,
-    DesignSpec,
-    timed,
-)
+from repro.core.strategy import DesignResult, DesignSpec, timed
 from repro.core.transformations import CandidateDesign
 from repro.engine.cache import DEFAULT_MAX_ENTRIES
+from repro.engine.engine import EvaluationEngine
 from repro.search.budget import Budget
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused
 from repro.search.loop import EvalRequest, drive
@@ -68,9 +64,6 @@ class MappingHeuristic:
     use_cache:
         Memoize candidate evaluations in the engine (neighbourhoods of
         consecutive descent iterations overlap heavily).
-    jobs:
-        Worker processes for batch-evaluating each neighbourhood;
-        ``1`` stays serial.  Results are identical for any value.
     max_cache_entries:
         LRU bound of the engine's cache (``None`` = unbounded).
     use_delta:
@@ -89,7 +82,6 @@ class MappingHeuristic:
     min_improvement: float = 1e-9
     use_message_moves: bool = True
     use_cache: bool = True
-    jobs: int = 1
     max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES
     use_delta: bool = True
     cache_store: str = "memory"
@@ -104,20 +96,17 @@ class MappingHeuristic:
     @timed
     def design(self, spec: DesignSpec) -> DesignResult:
         """Run IM, then steepest-descent improvement of the objective."""
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec,
             use_cache=self.use_cache,
-            jobs=self.jobs,
             max_cache_entries=self.max_cache_entries,
             use_delta=self.use_delta,
             cache_store=self.cache_store,
             cache_path=self.cache_path,
-        ) as evaluator:
-            result = drive(
-                self.search_program(spec, evaluator.compiled), evaluator
-            )
+        ) as engine:
+            result = drive(self.search_program(spec, engine.compiled), engine)
             if result.valid:
-                result.record_engine_stats(evaluator)
+                result.record_engine_stats(engine)
             return result
 
     def search_program(

@@ -108,7 +108,6 @@ def design_with_modifications(
     strategy: str = "MH",
     horizon: Optional[int] = None,
     max_modified: Optional[int] = None,
-    jobs: int = 1,
     use_delta: bool = True,
     cache_store: str = "memory",
     cache_path: Optional[str] = None,
@@ -139,10 +138,6 @@ def design_with_modifications(
     max_modified:
         Upper bound on how many existing applications may be modified
         (``None`` = all of them, i.e. full redesign as last resort).
-    jobs:
-        Worker processes for the strategy's evaluation engine; each
-        subset attempt redesigns a larger movable application, which is
-        exactly where parallel batch evaluation pays off.
     use_delta:
         Incremental (move-aware) evaluation inside each subset
         attempt's strategy run; the movable application only grows
@@ -180,7 +175,6 @@ def design_with_modifications(
         horizon = hyperperiod(periods)
     if max_modified is None:
         max_modified = len(existing)
-    strategy_kwargs.setdefault("jobs", jobs)
     strategy_kwargs.setdefault("use_delta", use_delta)
     strategy_kwargs.setdefault("cache_store", cache_store)
     strategy_kwargs.setdefault("cache_path", cache_path)

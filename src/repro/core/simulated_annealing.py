@@ -33,14 +33,10 @@ import numpy as np
 
 from repro.core.improvement import descent_loop
 from repro.core.initial_mapping import InitialMapper
-from repro.core.strategy import (
-    DesignEvaluator,
-    DesignResult,
-    DesignSpec,
-    timed,
-)
+from repro.core.strategy import DesignResult, DesignSpec, timed
 from repro.core.transformations import CandidateDesign
 from repro.engine.cache import DEFAULT_MAX_ENTRIES
+from repro.engine.engine import EvaluationEngine
 from repro.search.acceptors import AcceptAny, MetropolisAcceptor
 from repro.search.budget import Budget
 from repro.search.checkpoint import (
@@ -86,10 +82,6 @@ class SimulatedAnnealing:
     use_cache:
         Memoize candidate evaluations in the engine; annealing revisits
         rejected design points constantly, so hit rates are high.
-    jobs:
-        Worker processes for the polish phase's neighbourhood batches;
-        the Metropolis walk itself is inherently sequential.  Results
-        are identical for any value.
     max_cache_entries:
         LRU bound of the engine's cache (``None`` = unbounded).
     use_delta:
@@ -113,7 +105,6 @@ class SimulatedAnnealing:
     seed: SeedLike = 0
     polish: bool = True
     use_cache: bool = True
-    jobs: int = 1
     max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES
     use_delta: bool = True
     cache_store: str = "memory"
@@ -129,20 +120,17 @@ class SimulatedAnnealing:
     @timed
     def design(self, spec: DesignSpec) -> DesignResult:
         """Anneal from the Initial Mapping and return the best design seen."""
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec,
             use_cache=self.use_cache,
-            jobs=self.jobs,
             max_cache_entries=self.max_cache_entries,
             use_delta=self.use_delta,
             cache_store=self.cache_store,
             cache_path=self.cache_path,
-        ) as evaluator:
-            result = drive(
-                self.search_program(spec, evaluator.compiled), evaluator
-            )
+        ) as engine:
+            result = drive(self.search_program(spec, engine.compiled), engine)
             if result.valid:
-                result.record_engine_stats(evaluator)
+                result.record_engine_stats(engine)
             return result
 
     _PHASES = ("probe", "walk", "polish", "polish-from-start")

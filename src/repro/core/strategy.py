@@ -8,15 +8,13 @@ The mapping strategies (AH, MH, SA) share one contract:
 2. ``strategy.design(spec)`` returns a :class:`DesignResult` with the
    mapping, priorities, schedule, metrics and accounting data.
 
-:class:`DesignEvaluator` is the shared inner loop: schedule a candidate
-``(mapping, priorities)`` around the frozen reservations and price the
-result with the slide-14 objective.  Invalid candidates (deadline miss,
-unpackable message) evaluate to ``None`` and are rejected by every
-strategy, which enforces the paper's requirement (a) throughout the
-search.  The heavy lifting -- problem compilation, memoization and
-parallel batch scoring -- lives in :mod:`repro.engine`; the evaluator
-here is the strategy-facing facade over one
-:class:`repro.engine.engine.EvaluationEngine`.
+The shared inner loop is one
+:class:`repro.engine.engine.EvaluationEngine` per search: schedule a
+candidate ``(mapping, priorities)`` around the frozen reservations and
+price the result with the slide-14 objective.  Invalid candidates
+(deadline miss, unpackable message) evaluate to ``None`` and are
+rejected by every strategy, which enforces the paper's requirement (a)
+throughout the search.
 """
 
 from __future__ import annotations
@@ -24,22 +22,17 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.search.stats import SearchStats
 
 from repro.core.future import FutureCharacterization
 from repro.core.metrics import DesignMetrics, ObjectiveWeights
-from repro.engine.cache import DEFAULT_MAX_ENTRIES, CacheStats
-from repro.engine.delta import DeltaStats
 from repro.engine.engine import EngineCounters, EvaluationEngine
-from repro.engine.evaluation import EvaluatedDesign
-from repro.engine.store import StoreStats
 from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.mapping import Mapping
-from repro.core.transformations import CandidateDesign
 from repro.sched.priorities import PriorityMap
 from repro.sched.schedule import SystemSchedule
 
@@ -105,8 +98,7 @@ class DesignResult:
     delta_hits: int = 0
     delta_fallbacks: int = 0
     #: Stage-time buckets of the evaluation pipeline (scheduling pass,
-    #: metric pricing, schedule decode), in wall nanoseconds summed
-    #: across the engine process and every pool worker.
+    #: metric pricing, schedule decode), in wall nanoseconds.
     sched_ns: int = 0
     metrics_ns: int = 0
     decode_ns: int = 0
@@ -130,9 +122,9 @@ class DesignResult:
             return float("inf")
         return self.metrics.objective
 
-    def record_engine_stats(self, evaluator: "DesignEvaluator") -> "DesignResult":
-        """Copy the evaluator's accounting into this result, in place."""
-        return self.record_counters(evaluator.counters())
+    def record_engine_stats(self, engine: EvaluationEngine) -> "DesignResult":
+        """Copy the engine's accounting into this result, in place."""
+        return self.record_counters(engine.counters())
 
     def record_counters(self, counters: EngineCounters) -> "DesignResult":
         """Copy an engine-counter snapshot (or difference) in, in place."""
@@ -168,171 +160,6 @@ class DesignResult:
             tuple(sorted((self.message_delays or {}).items())),
             self.objective,
         )
-
-
-class DesignEvaluator:
-    """Schedules and prices :class:`CandidateDesign` points.
-
-    Since the evaluation-engine refactor this class is a thin facade
-    over :class:`repro.engine.engine.EvaluationEngine`: the engine owns
-    the compiled problem, the memo cache and the worker pool, while
-    this class keeps the historical strategy-facing API.
-
-    Parameters
-    ----------
-    spec:
-        The design problem (compiled once by the engine).
-    use_cache:
-        Memoize candidate evaluations, including invalid verdicts.
-    jobs:
-        Worker processes for :meth:`evaluate_many`; ``1`` stays serial.
-    max_cache_entries:
-        LRU bound of the engine's cache (``None`` = unbounded).
-    parallel_threshold:
-        Minimum problem size (expanded jobs) before the pool engages.
-    use_delta:
-        Enable the incremental (move-aware) evaluation kernel; results
-        are bit-identical either way (the ``--no-delta`` escape hatch).
-    cache_store:
-        ``"memory"`` (the default) keeps memoized outcomes in the
-        process-local LRU; ``"sqlite"`` backs that LRU with a
-        persistent database at ``cache_path`` that survives restarts
-        and is shared read-only with pool workers.
-    cache_path:
-        Filesystem path of the sqlite result store (required when
-        ``cache_store="sqlite"``).
-    store_read_only:
-        Open the sqlite store as a read-only shard view (the
-        distributed race's per-shard engines): warm reads, no rw lock;
-        new rows are buffered for the coordinating parent to drain and
-        persist.  Ignored by the memory backend.
-    """
-
-    def __init__(
-        self,
-        spec: DesignSpec,
-        use_cache: bool = True,
-        jobs: int = 1,
-        max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-        parallel_threshold: Optional[int] = None,
-        use_delta: bool = True,
-        cache_store: str = "memory",
-        cache_path: Optional[str] = None,
-        store_read_only: bool = False,
-    ):
-        self.spec = spec
-        self.engine = EvaluationEngine(
-            spec,
-            use_cache=use_cache,
-            jobs=jobs,
-            max_cache_entries=max_cache_entries,
-            parallel_threshold=parallel_threshold,
-            use_delta=use_delta,
-            cache_store=cache_store,
-            cache_path=cache_path,
-            store_read_only=store_read_only,
-        )
-
-    def evaluate(self, design: "CandidateDesign") -> Optional[EvaluatedDesign]:
-        """Schedule the candidate; return ``None`` when it is invalid."""
-        return self.engine.evaluate(design)
-
-    def evaluate_many(
-        self, designs: Sequence["CandidateDesign"]
-    ) -> List[Optional[EvaluatedDesign]]:
-        """Score a batch of candidates, preserving input order."""
-        return self.engine.evaluate_many(designs)
-
-    def evaluate_move(self, parent: EvaluatedDesign, move) -> Optional[EvaluatedDesign]:
-        """Score the child one ``move`` away from ``parent`` (delta path)."""
-        return self.engine.evaluate_move(parent, move)
-
-    def evaluate_moves(
-        self, parent: EvaluatedDesign, moves: Sequence
-    ) -> List[Optional[EvaluatedDesign]]:
-        """Score a parent's move neighbourhood, preserving input order."""
-        return self.engine.evaluate_moves(parent, moves)
-
-    @property
-    def compiled(self):
-        """The engine's compiled problem (shared with Initial Mapping)."""
-        return self.engine.compiled
-
-    @property
-    def evaluations(self) -> int:
-        return self.engine.evaluations
-
-    @property
-    def cache_hits(self) -> int:
-        return self.engine.cache_hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self.engine.cache_misses
-
-    @property
-    def delta_hits(self) -> int:
-        return self.engine.delta_hits
-
-    @property
-    def delta_fallbacks(self) -> int:
-        return self.engine.delta_fallbacks
-
-    @property
-    def sched_ns(self) -> int:
-        return self.engine.sched_ns
-
-    @property
-    def metrics_ns(self) -> int:
-        return self.engine.metrics_ns
-
-    @property
-    def decode_ns(self) -> int:
-        return self.engine.decode_ns
-
-    @property
-    def store_hits(self) -> int:
-        return self.engine.store_hits
-
-    @property
-    def store_misses(self) -> int:
-        return self.engine.store_misses
-
-    @property
-    def store_writes(self) -> int:
-        return self.engine.store_writes
-
-    def store_stats(self) -> StoreStats:
-        """Persistent-store accounting (all-zero on the memory backend)."""
-        return self.engine.store_stats()
-
-    def drain_store_rows(self) -> List[tuple]:
-        """Encoded rows a read-only shard view buffered (else empty)."""
-        return self.engine.drain_store_rows()
-
-    def absorb_store_rows(self, rows: Sequence[tuple]) -> None:
-        """Persist rows drained from shard engines (parent side)."""
-        self.engine.absorb_store_rows(rows)
-
-    def cache_stats(self) -> CacheStats:
-        return self.engine.cache_stats()
-
-    def delta_stats(self) -> DeltaStats:
-        return self.engine.delta_stats()
-
-    def counters(self) -> EngineCounters:
-        """Snapshot of every engine counter (per-search attribution)."""
-        return self.engine.counters()
-
-    def close(self) -> None:
-        """Release the engine's worker pool (idempotent)."""
-        self.engine.close()
-
-    def __enter__(self) -> "DesignEvaluator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def make_strategy(name: str, **kwargs):

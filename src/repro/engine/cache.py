@@ -103,8 +103,8 @@ class EvaluationCache:
     def __contains__(self, signature: Signature) -> bool:
         """Pure membership peek: no counters, no recency update.
 
-        Lets the engine plan a batch (which signatures need solving)
-        without perturbing the accounting that :meth:`lookup` owns.
+        Inspects the cache without perturbing the accounting and
+        recency that :meth:`lookup` owns.
         """
         return signature in self.backend
 

@@ -18,7 +18,7 @@ separating problem *construction* from repeated *solving*:
 * the frozen base schedule is kept as a template; per-candidate
   evaluation only pays one ``copy()`` of it;
 * candidate signatures -- the memoization key of the evaluation cache
-  -- are derived here so the cache and the batch evaluator agree on
+  -- are derived here so the cache and the result store agree on
   identity.
 """
 
@@ -51,8 +51,8 @@ class CompiledSpec:
 
     Instances are immutable in practice: nothing here is mutated after
     construction, so one compiled spec can be shared by an arbitrary
-    number of candidate evaluations (including across processes -- the
-    batch evaluator pickles the spec once per worker and recompiles).
+    number of candidate evaluations (each shard process of a
+    distributed race compiles its own copy from the pickled spec).
     """
 
     def __init__(self, spec: "DesignSpec"):

@@ -1,4 +1,4 @@
-"""The evaluation engine: compiled problem + cache + batch execution.
+"""The evaluation engine: compiled problem + cache + candidate solving.
 
 :class:`EvaluationEngine` is the one inner loop every strategy shares.
 It owns
@@ -7,23 +7,27 @@ It owns
   construction, done once),
 * an optional :class:`~repro.engine.cache.EvaluationCache` (memoized
   solving), and
-* a :class:`~repro.engine.batch.BatchEvaluator` (parallel solving of
-  candidate batches).
+* an optional :class:`~repro.engine.delta.DeltaEvaluator` (incremental
+  solving of one-move children from their parent's trace).
 
-``core.strategy.DesignEvaluator`` is a thin facade over this class, so
-existing strategy code keeps its historical API while all performance
-work happens here.
+Every miss is solved in process by
+:func:`~repro.engine.evaluation.evaluate_candidate` or the delta
+kernel; parallelism lives one level up, in the sharded portfolio race
+(:mod:`repro.search.distributed`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence
 
-from repro.engine.batch import BatchEvaluator
 from repro.engine.cache import DEFAULT_MAX_ENTRIES, CacheStats, EvaluationCache
 from repro.engine.compiled_spec import CompiledSpec, Signature
-from repro.engine.delta import DeltaStats
-from repro.engine.evaluation import EvaluatedDesign
+from repro.engine.delta import DeltaEvaluator, DeltaStats
+from repro.engine.evaluation import (
+    EvaluatedDesign,
+    StageTimings,
+    evaluate_candidate,
+)
 from repro.engine.store import SqliteResultStore, StoreStats, make_store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,8 +47,7 @@ class EngineCounters(NamedTuple):
     engine work to a window of activity.
 
     The ``*_ns`` fields are the stage-time buckets of the evaluation
-    pipeline (scheduling pass, metric pricing, schedule decode),
-    summed across the engine process and every pool worker.  They
+    pipeline (scheduling pass, metric pricing, schedule decode).  They
     feed reporting only, never a decision.
 
     The ``store_*`` fields are the persistent result store's
@@ -76,7 +79,7 @@ class EngineCounters(NamedTuple):
 
 
 class EvaluationEngine:
-    """Fast, cached, parallelizable evaluation of candidate designs.
+    """Fast, cached evaluation of candidate designs.
 
     Parameters
     ----------
@@ -84,15 +87,10 @@ class EvaluationEngine:
         The design problem; compiled once at construction.
     use_cache:
         Memoize evaluation outcomes (including invalid verdicts).
-    jobs:
-        Worker processes for batch evaluation; ``1`` stays serial.
     max_cache_entries:
         LRU bound of the cache (default
         :data:`repro.engine.cache.DEFAULT_MAX_ENTRIES`; ``None`` =
         unbounded).
-    parallel_threshold:
-        Forwarded to :class:`BatchEvaluator`; minimum problem size (in
-        expanded jobs) for the process pool to engage.
     use_delta:
         Enable the incremental (move-aware) evaluation kernel: cold
         evaluations record scheduling traces, and the ``evaluate_move``
@@ -119,9 +117,7 @@ class EvaluationEngine:
         self,
         spec: "DesignSpec",
         use_cache: bool = True,
-        jobs: int = 1,
         max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-        parallel_threshold: Optional[int] = None,
         use_delta: bool = True,
         cache_store: str = "memory",
         cache_path: Optional[str] = None,
@@ -130,8 +126,6 @@ class EvaluationEngine:
         self.spec = spec
         self.compiled = CompiledSpec(spec)
         self.cache: Optional[EvaluationCache] = None
-        store_path: Optional[str] = None
-        store_scenario: Optional[str] = None
         if use_cache:
             backend = make_store(
                 cache_store,
@@ -141,21 +135,14 @@ class EvaluationEngine:
                 read_only=store_read_only,
             )
             self.cache = EvaluationCache(max_cache_entries, store=backend)
-            if isinstance(backend, SqliteResultStore) and backend.persistent:
-                # Workers read through the same database (read-only);
-                # the single read-write connection stays here.
-                store_path = backend.path
-                store_scenario = backend.scenario
-        self.batch = BatchEvaluator(
-            self.compiled,
-            jobs=jobs,
-            parallel_threshold=parallel_threshold,
-            use_delta=use_delta,
-            store_path=store_path,
-            store_scenario=store_scenario,
+        self.timings = StageTimings()
+        self.delta: Optional[DeltaEvaluator] = (
+            DeltaEvaluator(self.compiled, self.timings) if use_delta else None
         )
-        self.use_delta = use_delta
         self.evaluations = 0
+        self.delta_hits = 0
+        self.delta_fallbacks = 0
+        self._closed = False
 
     # ------------------------------------------------------------------
     # evaluation
@@ -172,12 +159,12 @@ class EvaluationEngine:
         self._ensure_open()
         self.evaluations += 1
         if self.cache is None:
-            return self.batch.evaluate_one(design)
+            return self._solve(design)
         signature = self.compiled.signature(design)
         found, outcome = self.cache.lookup(signature)
         if found:
             return outcome
-        outcome = self.batch.evaluate_one(design)
+        outcome = self._solve(design)
         self.cache.store(signature, outcome)
         self.cache.commit()
         return outcome
@@ -187,73 +174,19 @@ class EvaluationEngine:
     ) -> List[Optional[EvaluatedDesign]]:
         """Score a batch of candidates, preserving input order.
 
-        Cached outcomes are served without scheduling; the remaining
-        misses (deduplicated within the batch) go through the batch
-        evaluator -- in parallel when the problem and batch are large
-        enough.
+        Exactly a sequence of :meth:`evaluate` calls -- same outcomes,
+        same cache accounting and recency -- with one store commit at
+        the end instead of one per candidate.
         """
         self._ensure_open()
         designs = list(designs)
         self.evaluations += len(designs)
         if self.cache is None:
-            return self.batch.evaluate_batch(designs)
+            return [self._solve(design) for design in designs]
         return self._cached_batch(
             [self.compiled.signature(d) for d in designs],
-            solve_fresh=lambda indices: self.batch.evaluate_batch(
-                [designs[i] for i in indices]
-            ),
-            solve_one=lambda i: self.batch.evaluate_one(designs[i]),
+            lambda i: self._solve(designs[i]),
         )
-
-    def _cached_batch(
-        self,
-        signatures: List[Signature],
-        solve_fresh: Callable[[List[int]], List[Optional[EvaluatedDesign]]],
-        solve_one: Callable[[int], Optional[EvaluatedDesign]],
-    ) -> List[Optional[EvaluatedDesign]]:
-        """Cache plan/commit shared by :meth:`evaluate_many` and
-        :meth:`evaluate_moves`.
-
-        Plan with a pure peek which signatures need solving
-        (deduplicated within the batch), solve them through
-        ``solve_fresh(indices)``, then commit in batch order so cache
-        accounting *and* LRU recency are exactly those of a sequence of
-        single evaluations: first occurrence of a fresh signature =
-        miss + store, every later use = hit + move-to-end.  An entry
-        evicted between its store and a later use (cache bound smaller
-        than the batch's working set) is re-solved serially via
-        ``solve_one(i)``, exactly as single calls would.  The batch
-        ends at the store commit boundary: buffered backend writes are
-        flushed as one batch.
-        """
-        fresh_indices: List[int] = []
-        fresh_signatures: set = set()
-        for i, signature in enumerate(signatures):
-            if signature not in fresh_signatures and signature not in self.cache:
-                fresh_signatures.add(signature)
-                fresh_indices.append(i)
-        outcome_by_signature: dict = {}
-        if fresh_indices:
-            outcomes = solve_fresh(fresh_indices)
-            outcome_by_signature = {
-                signatures[i]: outcome
-                for i, outcome in zip(fresh_indices, outcomes)
-            }
-
-        results: List[Optional[EvaluatedDesign]] = [None] * len(signatures)
-        for i, signature in enumerate(signatures):
-            found, outcome = self.cache.lookup(signature)
-            if found:
-                results[i] = outcome
-                continue
-            if signature in outcome_by_signature:
-                outcome = outcome_by_signature[signature]
-            else:
-                outcome = solve_one(i)
-            self.cache.store(signature, outcome)
-            results[i] = outcome
-        self.cache.commit()
-        return results
 
     def evaluate_move(
         self, parent: EvaluatedDesign, move: "Transformation"
@@ -276,12 +209,12 @@ class EvaluationEngine:
         self.evaluations += 1
         child = move.apply(parent.design)
         if self.cache is None:
-            return self.batch.evaluate_move_one(parent, move, child)
+            return self._solve_move(parent, move, child)
         signature = self.compiled.signature(child)
         found, outcome = self.cache.lookup(signature)
         if found:
             return outcome
-        outcome = self.batch.evaluate_move_one(parent, move, child)
+        outcome = self._solve_move(parent, move, child)
         self.cache.store(signature, outcome)
         self.cache.commit()
         return outcome
@@ -293,31 +226,77 @@ class EvaluationEngine:
     ) -> List[Optional[EvaluatedDesign]]:
         """Score one parent's whole move neighbourhood, in input order.
 
-        The move-aware sibling of :meth:`evaluate_many`: cached
-        outcomes are served without scheduling, and the remaining
-        misses (deduplicated within the batch) are rescheduled from the
-        parent's checkpoints -- in parallel when the problem and batch
-        are large enough, shipping ``(parent signature, move)`` per
-        candidate on the wire.  Cache accounting is exactly that of a
-        sequence of single :meth:`evaluate_move` calls.
+        The move-aware sibling of :meth:`evaluate_many`: exactly a
+        sequence of :meth:`evaluate_move` calls, with one store commit
+        at the end.
         """
         self._ensure_open()
         moves = list(moves)
         self.evaluations += len(moves)
         children = [move.apply(parent.design) for move in moves]
         if self.cache is None:
-            return self.batch.evaluate_moves(parent, moves, children)
+            return [
+                self._solve_move(parent, move, child)
+                for move, child in zip(moves, children)
+            ]
         return self._cached_batch(
             [self.compiled.signature(child) for child in children],
-            solve_fresh=lambda indices: self.batch.evaluate_moves(
-                parent,
-                [moves[i] for i in indices],
-                [children[i] for i in indices],
-            ),
-            solve_one=lambda i: self.batch.evaluate_move_one(
-                parent, moves[i], children[i]
-            ),
+            lambda i: self._solve_move(parent, moves[i], children[i]),
         )
+
+    def _cached_batch(
+        self,
+        signatures: List[Signature],
+        solve: Callable[[int], Optional[EvaluatedDesign]],
+    ) -> List[Optional[EvaluatedDesign]]:
+        """Serve ``signatures`` in order through the cache.
+
+        Per signature: look it up (a hit refreshes recency), or solve
+        it with ``solve(i)`` and store the outcome.  An in-batch
+        duplicate is therefore a hit, and an entry evicted before a
+        later use is re-solved -- exactly as single calls behave.  The
+        batch ends at one store commit boundary: buffered backend
+        writes are flushed together.
+        """
+        cache = self.cache
+        assert cache is not None, "batches without a cache never get here"
+        results: List[Optional[EvaluatedDesign]] = []
+        for i, signature in enumerate(signatures):
+            found, outcome = cache.lookup(signature)
+            if not found:
+                outcome = solve(i)
+                cache.store(signature, outcome)
+            results.append(outcome)
+        cache.commit()
+        return results
+
+    def _solve(self, design: "CandidateDesign") -> Optional[EvaluatedDesign]:
+        """Cold evaluation; records the column trace in delta mode."""
+        return evaluate_candidate(
+            self.compiled,
+            design,
+            record_trace=self.delta is not None,
+            timings=self.timings,
+        )
+
+    def _solve_move(
+        self,
+        parent: EvaluatedDesign,
+        move: "Transformation",
+        child: "CandidateDesign",
+    ) -> Optional[EvaluatedDesign]:
+        """Delta evaluation of one move, counting hits and fallbacks."""
+        if self.delta is None:
+            return self._solve(child)
+        if parent.trace is None:
+            self.delta_fallbacks += 1
+            return self._solve(child)
+        outcome, used = self.delta.evaluate_move(parent, move, child)
+        if used:
+            self.delta_hits += 1
+        else:
+            self.delta_fallbacks += 1
+        return outcome
 
     def price(self, schedule: "SystemSchedule") -> "DesignMetrics":
         """Metric evaluation of an already-built schedule.
@@ -348,26 +327,10 @@ class EvaluationEngine:
         return self.cache.stats()
 
     def store_stats(self) -> StoreStats:
-        """Persistent-store accounting (all zeros on the memory backend).
-
-        Worker read-through hits (pool workers probing the store for
-        payloads the parent dispatched) are folded into ``hits``;
-        misses are attributed by the parent's own lookups only, so one
-        cold evaluation never counts twice.
-        """
+        """Persistent-store accounting (all zeros on the memory backend)."""
         if self.cache is None:
-            base = StoreStats()
-        else:
-            base = self.cache.store_stats()
-        if self.batch.store_hits:
-            base = StoreStats(
-                hits=base.hits + self.batch.store_hits,
-                misses=base.misses,
-                writes=base.writes,
-                open_ns=base.open_ns,
-                commit_ns=base.commit_ns,
-            )
-        return base
+            return StoreStats()
+        return self.cache.store_stats()
 
     @property
     def store_hits(self) -> int:
@@ -381,40 +344,9 @@ class EvaluationEngine:
     def store_writes(self) -> int:
         return self.store_stats().writes
 
-    @property
-    def store_open_ns(self) -> int:
-        return self.store_stats().open_ns
-
-    @property
-    def store_commit_ns(self) -> int:
-        return self.store_stats().commit_ns
-
-    @property
-    def delta_hits(self) -> int:
-        return self.batch.delta_hits
-
-    @property
-    def delta_fallbacks(self) -> int:
-        return self.batch.delta_fallbacks
-
     def delta_stats(self) -> DeltaStats:
         """Delta hit/fallback accounting (zeros when delta is off)."""
-        return DeltaStats(self.batch.delta_hits, self.batch.delta_fallbacks)
-
-    @property
-    def sched_ns(self) -> int:
-        """Wall nanoseconds spent in scheduling passes."""
-        return self.batch.timings.sched_ns
-
-    @property
-    def metrics_ns(self) -> int:
-        """Wall nanoseconds spent pricing metrics."""
-        return self.batch.timings.metrics_ns
-
-    @property
-    def decode_ns(self) -> int:
-        """Wall nanoseconds spent decoding object schedules."""
-        return self.batch.timings.decode_ns
+        return DeltaStats(self.delta_hits, self.delta_fallbacks)
 
     def drain_store_rows(self) -> List[tuple]:
         """Hand over encoded result rows a read-only shard view buffered.
@@ -424,7 +356,7 @@ class EvaluationEngine:
         :meth:`SqliteResultStore.drain_rows`.
         """
         backend = self.cache.backend if self.cache is not None else None
-        if isinstance(backend, SqliteResultStore) and backend.export_rows:
+        if isinstance(backend, SqliteResultStore) and backend.read_only:
             return backend.drain_rows()
         return []
 
@@ -443,15 +375,16 @@ class EvaluationEngine:
     def counters(self) -> EngineCounters:
         """Snapshot of all counters (readable even after close)."""
         store = self.store_stats()
+        timings = self.timings
         return EngineCounters(
             evaluations=self.evaluations,
             cache_hits=self.cache_hits,
             cache_misses=self.cache_misses,
             delta_hits=self.delta_hits,
             delta_fallbacks=self.delta_fallbacks,
-            sched_ns=self.sched_ns,
-            metrics_ns=self.metrics_ns,
-            decode_ns=self.decode_ns,
+            sched_ns=timings.sched_ns,
+            metrics_ns=timings.metrics_ns,
+            decode_ns=timings.decode_ns,
             store_hits=store.hits,
             store_misses=store.misses,
             store_writes=store.writes,
@@ -465,26 +398,25 @@ class EvaluationEngine:
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has been called."""
-        return self.batch.closed
+        return self._closed
 
     def _ensure_open(self) -> None:
-        if self.batch.closed:
+        if self._closed:
             raise RuntimeError(
                 "EvaluationEngine is closed; build a fresh engine instead "
                 "of evaluating through a closed one"
             )
 
     def close(self) -> None:
-        """Release the worker pool and retire the engine (idempotent).
+        """Flush the cache backend and retire the engine (idempotent).
 
-        A closed engine refuses further ``evaluate``/``evaluate_many``
-        calls (``RuntimeError``) instead of silently recreating worker
-        processes; accounting accessors stay readable so strategies can
-        record statistics after the search finished or failed.  The
-        cache backend is flushed and released with the pool, so every
+        Closing is sticky: a closed engine refuses further evaluation
+        (``RuntimeError``), while accounting accessors stay readable so
+        strategies can record statistics after the search finished or
+        failed.  The cache backend is flushed and released, so every
         memoized outcome of a completed run is durable.
         """
-        self.batch.close()
+        self._closed = True
         if self.cache is not None:
             self.cache.close()
 

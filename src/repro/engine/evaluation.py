@@ -3,9 +3,9 @@
 ``evaluate_candidate`` is the pure function at the bottom of the whole
 optimization stack: schedule one :class:`CandidateDesign` with the
 compiled problem and price the result with the slide-14 objective.  The
-serial engine path, the cache-miss path and the process-pool workers
-all call exactly this function, which is what makes cached, serial and
-parallel runs bit-identical.
+engine's cache-miss path, its uncached path and the delta kernel's
+fallback all call exactly this function, which is what makes cached,
+uncached, delta and sharded runs bit-identical.
 
 The hot path never leaves the flat representation:
 the pass finishes as an :class:`~repro.sched.arrays.ArrayRunState`, the
@@ -25,7 +25,7 @@ module scope would be circular.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.sched.arrays import ArrayRunState
 from repro.sched.schedule import SystemSchedule
@@ -41,10 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class StageTimings:
     """Nanosecond wall-time buckets of the evaluation pipeline.
 
-    One mutable sink per engine (and per pool worker): scheduling,
-    metric pricing and schedule decode accumulate separately, so the
-    per-stage Amdahl split of a search run is visible in the engine
-    statistics without a profiler.  Time recorded here feeds reporting
+    One mutable sink per engine: scheduling, metric pricing and
+    schedule decode accumulate separately, so the per-stage Amdahl
+    split of a search run is visible in the engine statistics without
+    a profiler.  Time recorded here feeds reporting
     only -- never a scheduling decision.
     """
 
@@ -56,24 +56,6 @@ class StageTimings:
         self.sched_ns = sched_ns
         self.metrics_ns = metrics_ns
         self.decode_ns = decode_ns
-
-    def snapshot(self) -> Tuple[int, int, int]:
-        """Current bucket values (for windowed attribution)."""
-        return (self.sched_ns, self.metrics_ns, self.decode_ns)
-
-    def since(self, snapshot: Tuple[int, int, int]) -> Tuple[int, int, int]:
-        """Bucket deltas accumulated after ``snapshot`` was taken."""
-        return (
-            self.sched_ns - snapshot[0],
-            self.metrics_ns - snapshot[1],
-            self.decode_ns - snapshot[2],
-        )
-
-    def add(self, delta: Tuple[int, int, int]) -> None:
-        """Merge another sink's deltas (worker results into the engine)."""
-        self.sched_ns += delta[0]
-        self.metrics_ns += delta[1]
-        self.decode_ns += delta[2]
 
 
 class EvaluatedDesign:
@@ -165,9 +147,10 @@ class EvaluatedDesign:
         return self.design.priorities
 
     # ------------------------------------------------------------------
-    # pickling (process-pool wire format): the compiled spec and the
-    # timing sink stay process-local; BatchEvaluator re-attaches them
-    # when results return to the engine.
+    # pickling (result-store payloads and shard IPC): the compiled spec
+    # and the timing sink stay process-local and are dropped; an
+    # unpickled outcome decodes only after its compiled spec is
+    # re-attached.
     def __getstate__(self) -> dict:
         return {
             name: getattr(self, name)
@@ -198,8 +181,7 @@ def evaluate_candidate(
     """Schedule and price one candidate; ``None`` when it is invalid.
 
     Deterministic: equal ``(spec, design)`` always produce the same
-    outcome, which both the evaluation cache and the batch evaluator
-    rely on.  With ``record_trace`` the outcome additionally carries
+    outcome, which the evaluation cache relies on.  With ``record_trace`` the outcome additionally carries
     the pass's column trace, making it usable as the parent of delta
     evaluations; the metric *values* are identical either way.
     ``timings`` (when given) accumulates per-stage wall time.

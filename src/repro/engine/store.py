@@ -22,10 +22,10 @@ over both.  Across runs the sqlite backend turns cold evaluations into
 store hits: a warm restart of the same scenario re-prices nothing.
 
 **Single-writer rule.**  Exactly one read-write store may own a
-database path at a time (the engine in the parent process); pool
-workers and concurrent readers open ``read_only`` instances.  All
-writes funnel through the parent's commit boundary, so determinism
-across ``--jobs`` is untouched.
+database path at a time (the engine in the parent process); shard
+engines and concurrent readers open ``read_only`` instances, whose new
+rows the parent drains and persists.  All writes funnel through the
+parent's commit boundary, so sharded races stay deterministic.
 
 **Degradation.**  Corruption, permission and schema-version problems
 never take the run down: the store warns (``RuntimeWarning``) and
@@ -115,7 +115,7 @@ class ResultStore(Protocol):
     The cache owns hit/miss *accounting*; a store owns *storage*:
     recency, eviction, persistence.  ``get`` refreshes recency (the
     cache's ``lookup`` path), ``__contains__`` is the accounting-free
-    peek (the cache's batch-planning path), and ``None`` is a
+    peek (membership checks that must not touch recency), and ``None`` is a
     first-class stored outcome (a memoized invalid verdict).
     """
 
@@ -244,15 +244,12 @@ class SqliteResultStore:
         :func:`repro.serialize.store_key.spec_store_key` of the
         compiled spec (empty string without one).
     read_only:
-        Open the database read-only (pool workers).  Writes then stay
-        in the resident tier and :meth:`commit` is a no-op.
-    export_rows:
-        Read-only variant for shard engines in a distributed race:
-        new results are additionally buffered in their encoded wire
-        form and survive :meth:`commit`, so the parent process (the
-        single writer) can :meth:`drain_rows` them over IPC and
-        persist them through its own read-write connection.  Requires
-        ``read_only``.
+        Open the database read-only: the shard engines of a
+        distributed race.  New results stay in the resident tier and
+        are buffered in their encoded wire form across :meth:`commit`
+        (which writes nothing), so the parent process (the single
+        writer) can :meth:`drain_rows` them over IPC and persist them
+        through its own read-write connection.
     """
 
     def __init__(
@@ -262,19 +259,12 @@ class SqliteResultStore:
         max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
         scenario: Optional[str] = None,
         read_only: bool = False,
-        export_rows: bool = False,
     ):
-        if export_rows and not read_only:
-            raise ValueError(
-                "export_rows is the read-only shard view's contract; "
-                "a read-write store persists its own rows"
-            )
         self.memory = MemoryResultStore(max_entries)
         self.max_entries = self.memory.max_entries
         self.path = str(path)
         self.compiled = compiled
         self.read_only = read_only
-        self.export_rows = export_rows
         self.scenario = (
             scenario if scenario is not None else self._derive_scenario(compiled)
         )
@@ -450,12 +440,7 @@ class SqliteResultStore:
     ) -> Optional[Signature]:
         """Store in the resident tier and buffer the database row."""
         evicted = self.memory.put(signature, outcome)
-        buffer_row = (
-            self.export_rows
-            if self.read_only
-            else (self._conn is not None or self._pending)
-        )
-        if buffer_row:
+        if self.read_only or self._conn is not None or self._pending:
             key = self._signature_key(signature)
             self._pending[key] = self._encode(outcome)
             self._pending.move_to_end(key)
@@ -504,14 +489,15 @@ class SqliteResultStore:
         """Flush buffered rows in one ``executemany`` batch.
 
         The engine calls this at the end of every public evaluation
-        API -- the store commit boundary -- so readers (workers, other
+        API -- the store commit boundary -- so readers (shards, other
         runs) only ever observe batch-consistent state.
         """
-        if self._conn is None or self.read_only:
-            if not self.export_rows:
-                self._pending.clear()
-            # Export buffers survive commits: they are drained
+        if self.read_only:
+            # Read-only buffers survive commits: they are drained
             # explicitly (drain_rows) at the shard's final report.
+            return
+        if self._conn is None:
+            self._pending.clear()
             return
         if not self._pending and not self._dirty:
             return
@@ -540,7 +526,7 @@ class SqliteResultStore:
         """Hand over the buffered export rows (and forget them).
 
         The shard side of the distributed race's single-writer rule:
-        a read-only ``export_rows`` view accumulates its newly priced
+        a read-only view accumulates its newly priced
         results here, and the parent ships them home with
         :meth:`absorb_rows` through its one read-write connection.
         Rows are ``(signature_key, payload)`` pairs in first-write
@@ -672,7 +658,6 @@ def make_store(
             compiled=compiled,
             max_entries=max_entries,
             read_only=read_only,
-            export_rows=read_only,
         )
     raise ValueError(
         f"unknown cache_store {cache_store!r}; choose 'memory' or 'sqlite'"

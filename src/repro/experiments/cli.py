@@ -47,6 +47,7 @@ from repro.experiments.runner import (
     design_identity,
     make_budget,
     oracle_failures,
+    parse_strategy_name,
     run_comparison,
     run_family_matrix,
     run_family_smoke,
@@ -69,8 +70,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["n_existing"] = args.existing
     if args.sa_iterations:
         overrides["sa_iterations"] = args.sa_iterations
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
     if args.no_delta:
         overrides["use_delta"] = False
     if getattr(args, "cache_store", None):
@@ -185,6 +184,43 @@ def _rate(value: str) -> float:
     return parsed
 
 
+def _family(value: str) -> str:
+    """A registered scenario-family name."""
+    if value not in families.family_names():
+        raise argparse.ArgumentTypeError(
+            f"unknown family {value!r}; choose from "
+            f"{', '.join(families.family_names())}"
+        )
+    return value
+
+
+def _strategy(value: str) -> str:
+    """A strategy name ``strategy_for_family`` accepts (``SA@k`` too)."""
+    try:
+        parse_strategy_name(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _check_preset(args: argparse.Namespace) -> Optional[str]:
+    """Why ``--preset`` names no preset of a selected family, or ``None``."""
+    if getattr(args, "preset", None) is None:
+        return None
+    if hasattr(args, "family"):
+        names = [args.family]
+    else:
+        names = args.families or families.family_names()
+    for name in names:
+        presets = families.get_family(name).preset_names
+        if args.preset not in presets:
+            return (
+                f"--preset {args.preset!r}: family {name} has no such "
+                f"preset; choose from {', '.join(presets)}"
+            )
+    return None
+
+
 def _add_store_options(parser: argparse.ArgumentParser) -> None:
     """The result-store switches, shared by every run-like subcommand."""
     parser.add_argument(
@@ -252,7 +288,7 @@ def _scenarios_run(args: argparse.Namespace) -> int:
             name,
             args.seed,
             not args.no_cache,
-            args.jobs,
+            1,
             args.sa_iterations,
             not args.no_delta,
             budget=budget,
@@ -339,7 +375,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         return 2
 
     def race(
-        jobs: int,
         use_delta: bool,
         shards: Optional[int] = None,
         elastic: Optional[bool] = None,
@@ -351,7 +386,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             sa_iterations=args.sa_iterations,
             member_budget=member_budget,
             shared_budget=shared_budget,
-            jobs=jobs,
             use_delta=use_delta,
             cache_store=args.cache_store,
             cache_path=args.cache_path,
@@ -359,7 +393,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             elastic=args.elastic if elastic is None else elastic,
         )
 
-    result = race(args.jobs, not args.no_delta)
+    result = race(not args.no_delta)
     rows = []
     for member in result.members:
         r = member.result
@@ -437,9 +471,8 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
     if args.check_determinism:
         reference = _portfolio_identity(result)
         checks = [
-            ("repeat", lambda: race(args.jobs, not args.no_delta)),
-            ("jobs=2", lambda: race(2, not args.no_delta)),
-            ("delta off", lambda: race(args.jobs, False)),
+            ("repeat", lambda: race(not args.no_delta)),
+            ("delta off", lambda: race(False)),
         ]
         shard_axis = args.budget_seconds is None
         if shard_axis:
@@ -449,9 +482,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             # runs for deterministic budgets.
             checks.append((
                 "shards=2",
-                lambda: race(
-                    args.jobs, not args.no_delta, shards=2, elastic=False
-                ),
+                lambda: race(not args.no_delta, shards=2, elastic=False),
             ))
         failures = [
             f"{member.name} oracle: {failure}"
@@ -472,7 +503,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
                 sa_iterations=args.sa_iterations,
                 member_budget=member_budget,
                 shared_budget=None,
-                jobs=args.jobs,
                 use_delta=not args.no_delta,
             )
             if (
@@ -483,7 +513,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         if failures:
             print(f"DETERMINISM FAILURES: {', '.join(failures)}")
             return 1
-        passed = "oracle, repeat, jobs=2, delta off"
+        passed = "oracle, repeat, delta off"
         if shard_axis:
             passed += ", shards=2"
         if shared_budget is None:
@@ -498,7 +528,6 @@ def _scenarios_sweep(args: argparse.Namespace) -> int:
         preset=args.preset,
         seeds=tuple(range(1, args.seeds + 1)),
         strategies=tuple(args.strategies),
-        jobs=args.jobs,
         sa_iterations=args.sa_iterations,
         use_delta=not args.no_delta,
         cache_store=args.cache_store,
@@ -643,16 +672,14 @@ def _add_scenarios_parser(subparsers) -> None:
     run = actions.add_parser(
         "run", help="run strategies on one generated family scenario"
     )
-    run.add_argument("family", help="family name (see: scenarios list)")
+    run.add_argument(
+        "family", type=_family, help="family name (see: scenarios list)"
+    )
     run.add_argument("--preset", help="preset name (default: smallest)")
     run.add_argument("--seed", type=int, default=1, help="scenario seed")
     run.add_argument(
-        "--strategies", nargs="+", default=["AH", "MH", "SA"],
-        help="strategies to run",
-    )
-    run.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="evaluation-engine worker processes",
+        "--strategies", nargs="+", type=_strategy, default=["AH", "MH", "SA"],
+        help="strategies to run (AH, MH, SA or SA@k)",
     )
     run.add_argument(
         "--sa-iterations", type=_nonnegative_int,
@@ -692,16 +719,17 @@ def _add_scenarios_parser(subparsers) -> None:
             "(deterministic lockstep, shared budget, best incumbent wins)"
         ),
     )
-    portfolio.add_argument("family", help="family name (see: scenarios list)")
+    portfolio.add_argument(
+        "family", type=_family, help="family name (see: scenarios list)"
+    )
     portfolio.add_argument("--preset", help="preset name (default: smallest)")
     portfolio.add_argument("--seed", type=int, default=1, help="scenario seed")
     portfolio.add_argument(
-        "--strategies", nargs="+", default=["MH", "SA"],
-        help="racing members, in racing (= tie-breaking) order",
-    )
-    portfolio.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="shared-engine worker processes",
+        "--strategies", nargs="+", type=_strategy, default=["MH", "SA"],
+        help=(
+            "racing members (AH, MH, SA or SA@k), in racing "
+            "(= tie-breaking) order"
+        ),
     )
     portfolio.add_argument(
         "--sa-iterations", type=_nonnegative_int,
@@ -757,7 +785,7 @@ def _add_scenarios_parser(subparsers) -> None:
         help=(
             "check every member's design against the object-kernel "
             "oracles (reschedule, re-price, verify), then re-race with "
-            "jobs=2, delta off, shards=2, and (without a shared budget) "
+            "delta off, shards=2, and (without a shared budget) "
             "reversed member order; fail unless the winning design is "
             "byte-identical (the CI smoke gate)"
         ),
@@ -769,7 +797,8 @@ def _add_scenarios_parser(subparsers) -> None:
         help="stress matrix: every strategy x every family, cache on/off",
     )
     sweep.add_argument(
-        "--families", nargs="+", help="families to sweep (default: all)"
+        "--families", nargs="+", type=_family,
+        help="families to sweep (default: all)",
     )
     sweep.add_argument("--preset", help="preset per family (default: smallest)")
     sweep.add_argument(
@@ -777,12 +806,8 @@ def _add_scenarios_parser(subparsers) -> None:
         help="number of scenario seeds per family",
     )
     sweep.add_argument(
-        "--strategies", nargs="+", default=["AH", "MH", "SA"],
-        help="strategies to run",
-    )
-    sweep.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="evaluation-engine worker processes",
+        "--strategies", nargs="+", type=_strategy, default=["AH", "MH", "SA"],
+        help="strategies to run (AH, MH, SA or SA@k)",
     )
     sweep.add_argument(
         "--sa-iterations", type=_nonnegative_int,
@@ -822,7 +847,8 @@ def _add_scenarios_parser(subparsers) -> None:
         ),
     )
     smoke.add_argument(
-        "--families", nargs="+", help="families to check (default: all)"
+        "--families", nargs="+", type=_family,
+        help="families to check (default: all)",
     )
     smoke.add_argument("--seed", type=int, default=1, help="scenario seed")
     smoke.add_argument(
@@ -877,14 +903,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="simulated-annealing iterations",
     )
     figure_options.add_argument(
-        "--jobs",
-        type=_positive_int,
-        help=(
-            "worker processes per strategy run (evaluation-engine batch "
-            "parallelism; results are identical to a serial run)"
-        ),
-    )
-    figure_options.add_argument(
         "--no-delta",
         action="store_true",
         help=(
@@ -926,6 +944,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         and args.cache_store != "sqlite"
     ):
         parser.error("--min-store-hit-rate requires --cache-store sqlite")
+    preset_error = _check_preset(args)
+    if preset_error is not None:
+        parser.error(preset_error)
     if args.command == "scenarios":
         return _handle_scenarios(args)
 

@@ -48,9 +48,6 @@ class ExperimentConfig:
     n_existing: int = 60
     seeds: Tuple[int, ...] = (1, 2, 3)
     sa_iterations: int = 1200
-    #: Worker processes per strategy run (the evaluation engine's batch
-    #: evaluator); ``1`` stays serial.  Results are identical either way.
-    jobs: int = 1
     #: Incremental (move-aware) evaluation; the CLI's ``--no-delta``
     #: escape hatch sets this False.  Results are identical either way.
     use_delta: bool = True
@@ -197,7 +194,6 @@ def _build(name: str, config: ExperimentConfig, seed: int):
             "SA",
             iterations=config.sa_iterations,
             seed=seed * 7919 + 13,
-            jobs=config.jobs,
             use_delta=config.use_delta,
             cache_store=config.cache_store,
             cache_path=config.cache_path,
@@ -205,7 +201,6 @@ def _build(name: str, config: ExperimentConfig, seed: int):
         )
     return make_strategy(
         name,
-        jobs=config.jobs,
         use_delta=config.use_delta,
         cache_store=config.cache_store,
         cache_path=config.cache_path,
@@ -347,6 +342,9 @@ def mean(values: Sequence[float]) -> float:
 #: squeezing the reference to its optimum.
 DEFAULT_FAMILY_SA_ITERATIONS = 150
 
+#: The strategies family runs and portfolio races accept by name.
+STRATEGY_NAMES = ("AH", "MH", "SA")
+
 
 @dataclass
 class FamilyMatrixRecord:
@@ -367,8 +365,8 @@ class FamilySmokeResult:
     ``failures`` is empty when the family passed: the scenario
     round-trips through the JSON codec byte-identically, and every
     strategy finds a valid design that passes :func:`oracle_failures`
-    and is identical with the cache on, off, with two evaluation
-    workers and with incremental evaluation off.
+    and is identical with the cache on, off and with incremental
+    evaluation off.
     """
 
     family: str
@@ -471,6 +469,29 @@ def oracle_failures(
     return failures
 
 
+def parse_strategy_name(name: str) -> Tuple[str, int]:
+    """Split a family-run strategy name into ``(base, variant)``.
+
+    ``AH``, ``MH`` and ``SA`` (any case) are the paper's strategies.
+    ``SA@k`` (k >= 1) names a portfolio variant of SA: the same
+    configuration on a distinct seeded RNG stream, so portfolio races
+    can field several independent SA members.  Only SA has variants --
+    the other strategies are deterministic, so extra copies would race
+    identical walks.  Anything else raises ``ValueError`` listing the
+    valid choices.
+    """
+    base, sep, suffix = name.partition("@")
+    base = base.upper()
+    if base in STRATEGY_NAMES and not sep:
+        return base, 0
+    if base == "SA" and suffix.isdigit() and int(suffix) >= 1:
+        return base, int(suffix)
+    raise ValueError(
+        f"unknown strategy {name!r}; choose from "
+        f"{', '.join(STRATEGY_NAMES)} or SA@k (k >= 1)"
+    )
+
+
 def strategy_for_family(
     name: str,
     seed: int,
@@ -484,27 +505,26 @@ def strategy_for_family(
 ):
     """Instantiate a strategy for a family run (shared with the CLI).
 
-    ``SA@k`` (k >= 1) names a portfolio variant of SA: the same
-    configuration on a distinct seeded RNG stream (seed offset
-    ``k * 101``), so portfolio races can field several independent
-    SA members.  Only SA has variants -- the other strategies are
-    deterministic, so extra copies would race identical walks.
+    ``name`` is parsed by :func:`parse_strategy_name`; ``SA@k`` seeds
+    SA on a distinct RNG stream (seed offset ``k * 101``).
+
+    ``jobs`` must be ``1``: candidates are evaluated in process, and
+    parallelism is the sharded race (``run_portfolio(shards=...)``).
+    The positional slot stays because external callers, such as the
+    end-to-end benchmark, still pass it.
     """
-    base, _, suffix = name.partition("@")
-    variant = 0
-    if suffix:
-        variant = int(suffix)
-        if base.upper() != "SA" or variant < 1:
-            raise ValueError(
-                f"only SA@k (k >= 1) variants exist, got {name!r}"
-            )
-    if base.upper() == "SA":
+    if jobs != 1:
+        raise ValueError(
+            f"jobs={jobs!r}: strategies evaluate in process; race a "
+            "portfolio with --shards for parallelism"
+        )
+    base, variant = parse_strategy_name(name)
+    if base == "SA":
         strategy = make_strategy(
             "SA",
             iterations=sa_iterations,
             seed=seed * 7919 + 13 + variant * 101,
             use_cache=use_cache,
-            jobs=jobs,
             use_delta=use_delta,
             cache_store=cache_store,
             cache_path=cache_path,
@@ -514,9 +534,8 @@ def strategy_for_family(
             strategy.name = f"SA@{variant}"
         return strategy
     return make_strategy(
-        name,
+        base,
         use_cache=use_cache,
-        jobs=jobs,
         use_delta=use_delta,
         cache_store=cache_store,
         cache_path=cache_path,
@@ -551,7 +570,6 @@ def run_portfolio(
     member_budget: Optional[Budget] = None,
     shared_budget: Optional[Budget] = None,
     use_cache: bool = True,
-    jobs: int = 1,
     use_delta: bool = True,
     cache_store: str = "memory",
     cache_path: Optional[str] = None,
@@ -563,7 +581,7 @@ def run_portfolio(
     The deterministic lockstep race of
     :class:`repro.search.PortfolioRunner`: member order is the racing
     and tie-breaking order, ``shared_budget`` is contended for by all
-    members, and the winner is byte-identical for any ``jobs`` value.
+    members, and the winner is byte-identical for any racing order.
     With ``cache_store="sqlite"`` the race shares one persistent store
     at ``cache_path`` (and is served warm by earlier races against it).
 
@@ -584,7 +602,6 @@ def run_portfolio(
             shards=shards,
             mode="elastic" if elastic else "replay",
             use_cache=use_cache,
-            jobs=jobs,
             use_delta=use_delta,
             cache_store=cache_store,
             cache_path=cache_path,
@@ -593,7 +610,6 @@ def run_portfolio(
         members,
         budget=shared_budget,
         use_cache=use_cache,
-        jobs=jobs,
         use_delta=use_delta,
         cache_store=cache_store,
         cache_path=cache_path,
@@ -607,7 +623,6 @@ def run_family_matrix(
     seeds: Sequence[int] = (1,),
     strategies: Sequence[str] = ("AH", "MH", "SA"),
     cache_modes: Sequence[bool] = (True, False),
-    jobs: int = 1,
     sa_iterations: int = DEFAULT_FAMILY_SA_ITERATIONS,
     use_delta: bool = True,
     cache_store: str = "memory",
@@ -628,9 +643,9 @@ def run_family_matrix(
     seeds:
         Scenario seeds; each (family, seed) cell is generated once and
         shared by all strategy/cache runs.
-    strategies, cache_modes, jobs, sa_iterations:
+    strategies, cache_modes, sa_iterations:
         The strategy grid.  Results are deterministic for any cache
-        mode and job count by the evaluation-engine contract.
+        mode by the evaluation-engine contract.
     """
     if family_names is None:
         family_names = families_module.family_names()
@@ -655,7 +670,7 @@ def run_family_matrix(
                         strategy_name,
                         seed,
                         use_cache,
-                        jobs,
+                        1,
                         sa_iterations,
                         use_delta,
                         budget=budget,
@@ -698,9 +713,8 @@ def run_family_smoke(
     byte-identically; (2) every strategy finds a *valid* design that
     passes the oracle check (:func:`oracle_failures`); (3) each
     strategy's design is identical with the cache on, with the cache
-    off, with ``jobs=2`` and with incremental evaluation off
-    (``--no-delta``) -- the determinism contract new families must not
-    break.
+    off and with incremental evaluation off (``--no-delta``) -- the
+    determinism contract new families must not break.
 
     ``cache_store``/``cache_path`` apply to the *baseline* run of each
     strategy only (the comparison variants stay memory-backed: they
@@ -752,13 +766,12 @@ def run_family_smoke(
                 for failure in oracle_failures(scenario, spec, baseline)
             )
             reference = design_identity(baseline)
-            for label, use_cache, jobs, use_delta in (
-                ("cache off", False, 1, True),
-                ("jobs=2", True, 2, True),
-                ("delta off", True, 1, False),
+            for label, use_cache, use_delta in (
+                ("cache off", False, True),
+                ("delta off", True, False),
             ):
                 other = strategy_for_family(
-                    strategy_name, seed, use_cache, jobs, sa_iterations,
+                    strategy_name, seed, use_cache, 1, sa_iterations,
                     use_delta,
                 ).design(spec)
                 if design_identity(other) != reference:

@@ -76,7 +76,7 @@ class ArrayRunState:
     stored on :class:`~repro.engine.evaluation.EvaluatedDesign.trace`
     and parents later delta evaluations.  All fields are plain lists /
     ints (numpy views are cached lazily by :meth:`as_numpy`), so
-    states pickle cheaply across the batch-evaluator pool.
+    states pickle cheaply.
     """
 
     __slots__ = (

@@ -4,8 +4,8 @@ The in-process :class:`~repro.search.portfolio.PortfolioRunner` races
 members in deterministic lockstep on one engine -- pinned, simple, and
 single-core.  This module shards the same race across N worker
 processes: each shard drives a subset of the members' search programs
-against its own :class:`~repro.core.strategy.DesignEvaluator` (array
-core, delta kernel, read-only view of the shared sqlite result store),
+against its own :class:`~repro.engine.engine.EvaluationEngine` (delta
+kernel, read-only view of the shared sqlite result store),
 while the parent coordinator owns the shared racing budget, the steal
 protocol and the single read-write store connection.
 
@@ -69,7 +69,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.engine import EngineCounters
+from repro.engine.engine import EngineCounters, EvaluationEngine
 from repro.search.budget import Budget, SharedBudgetExhausted, StealRequested
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused
 from repro.search.loop import EvalRequest, execute_request
@@ -148,13 +148,10 @@ def _shard_main(
 
     ``assigns`` rows are ``(member, ckpt_json, k0, charged0, steal_at)``.
     """
-    from repro.core.strategy import DesignEvaluator
-
     busy0 = time.process_time()
-    evaluator = DesignEvaluator(
+    evaluator = EvaluationEngine(
         spec,
         use_cache=cfg["use_cache"],
-        jobs=1,
         max_cache_entries=cfg["max_cache_entries"],
         use_delta=cfg["use_delta"],
         cache_store=cfg["cache_store"],
@@ -429,7 +426,6 @@ class DistributedPortfolioRunner:
         shards: int = 2,
         mode: str = "replay",
         use_cache: bool = True,
-        jobs: int = 1,
         max_cache_entries: Optional[int] = -1,
         use_delta: bool = True,
         cache_store: str = "memory",
@@ -473,7 +469,6 @@ class DistributedPortfolioRunner:
         self.shards = shards
         self.mode = mode
         self.use_cache = use_cache
-        self.jobs = jobs  # accepted for signature parity; shards are the parallelism
         self.max_cache_entries = max_cache_entries
         self.use_delta = use_delta
         self.cache_store = cache_store
@@ -521,7 +516,7 @@ class _Coordinator:
         self.plan = list(runner.elastic_plan)
         self.budgetv: Budget = runner.budget
         self.started = 0.0
-        self.evaluator: Optional[Any] = None  # the rw store writer
+        self.evaluator: Optional[EvaluationEngine] = None  # the rw store writer
 
     # -- helpers -------------------------------------------------------
     def _elapsed(self) -> float:
@@ -848,9 +843,7 @@ class _Coordinator:
             for index, *_ in initial[s]:
                 self.states[index].owner = handle.id
         if runner.cache_store == "sqlite":
-            from repro.core.strategy import DesignEvaluator
-
-            self.evaluator = DesignEvaluator(
+            self.evaluator = EvaluationEngine(
                 self.spec,
                 use_cache=True,
                 cache_store="sqlite",

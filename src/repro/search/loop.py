@@ -13,12 +13,12 @@ and a resumable :class:`SearchCheckpoint`.
 
 The loop body is written as a *generator* (:meth:`SearchLoop.program`)
 that yields :class:`EvalRequest` batches and receives their results:
-the same program can be driven standalone against one evaluator
+the same program can be driven standalone against one engine
 (:func:`drive`, used by ``strategy.design``) or interleaved with other
 programs over one shared engine by the
 :class:`~repro.search.portfolio.PortfolioRunner` -- deterministic
 lockstep racing without threads, so seeded results are byte-identical
-for any ``--jobs`` value and any racing order.
+for any racing order.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ from repro.search.proposers import Proposer
 from repro.search.stats import SearchStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.strategy import DesignEvaluator, DesignSpec
+    from repro.core.strategy import DesignSpec
+    from repro.engine.engine import EvaluationEngine
     from repro.core.transformations import CandidateDesign, Transformation
 
 
@@ -96,9 +97,9 @@ class EvalRequest:
 
 
 def execute_request(
-    evaluator: "DesignEvaluator", request: EvalRequest
+    evaluator: "EvaluationEngine", request: EvalRequest
 ) -> List[Optional[EvaluatedDesign]]:
-    """Serve one :class:`EvalRequest` through an evaluator.
+    """Serve one :class:`EvalRequest` through an engine.
 
     Single-item requests use the singular engine APIs and batches the
     plural ones, so a program driven here produces exactly the engine
@@ -119,9 +120,9 @@ SearchProgram = Generator[EvalRequest, List[Optional[EvaluatedDesign]], "SearchO
 
 def drive(
     program: Generator[EvalRequest, List[Optional[EvaluatedDesign]], Any],
-    evaluator: "DesignEvaluator",
+    evaluator: "EvaluationEngine",
 ) -> Any:
-    """Run a search program to completion against one evaluator.
+    """Run a search program to completion against one engine.
 
     Works for any generator that yields :class:`EvalRequest` and
     returns its result via ``StopIteration`` -- a bare
@@ -183,7 +184,7 @@ class SearchLoop:
     def run(
         self,
         spec: "DesignSpec",
-        evaluator: "DesignEvaluator",
+        evaluator: "EvaluationEngine",
         start: Optional[EvaluatedDesign] = None,
         rng: Optional[np.random.Generator] = None,
         checkpoint: Optional[SearchCheckpoint] = None,
@@ -204,7 +205,7 @@ class SearchLoop:
     def resume(
         self,
         spec: "DesignSpec",
-        evaluator: "DesignEvaluator",
+        evaluator: "EvaluationEngine",
         checkpoint: SearchCheckpoint,
         rng: Optional[np.random.Generator] = None,
     ) -> SearchOutcome:

@@ -5,16 +5,17 @@ budget to one search, several configured strategies race for it, and
 the best incumbent any of them finds wins.  The
 :class:`PortfolioRunner` here races *search programs* (the generator
 form every kernel-backed strategy exposes via ``search_program``) in
-deterministic lockstep over one shared :class:`DesignEvaluator`:
+deterministic lockstep over one shared
+:class:`~repro.engine.engine.EvaluationEngine`:
 
 * **one engine** -- all members share the compiled problem, the
   evaluation cache (a design priced for member A is a cache hit for
-  member B), the delta kernel and the ``--jobs`` batch pool;
+  member B) and the delta kernel;
 * **lockstep rounds** -- each round serves at most one evaluation
   request per still-running member, in configured member order.  The
   interleaving is a pure function of the configuration, never of
   thread timing, so seeded portfolio results are byte-identical for
-  any ``--jobs`` value and any racing order;
+  any racing order;
 * **shared budget** -- an optional portfolio-level
   :class:`~repro.search.budget.Budget` (evaluations / wall-clock) is
   charged as requests are served; a member whose next neighbourhood no
@@ -53,12 +54,13 @@ from typing import (
     Tuple,
 )
 
-from repro.engine.engine import EngineCounters
+from repro.engine.cache import DEFAULT_MAX_ENTRIES
+from repro.engine.engine import EngineCounters, EvaluationEngine
 from repro.search.budget import Budget, BudgetProgress, SharedBudgetExhausted
 from repro.search.loop import EvalRequest, execute_request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.strategy import DesignEvaluator, DesignResult, DesignSpec
+    from repro.core.strategy import DesignResult, DesignSpec
 
 
 @dataclass
@@ -133,7 +135,7 @@ class MemberMeter:
     counters sum to the engine's totals.
     """
 
-    def __init__(self, evaluator: "DesignEvaluator") -> None:
+    def __init__(self, evaluator: EvaluationEngine) -> None:
         self.evaluator = evaluator
         self.work: Dict[int, EngineCounters] = {}
         self.seconds: Dict[int, float] = {}
@@ -184,9 +186,9 @@ class PortfolioRunner:
         wall-clock axes; per-member step caps belong to the members'
         own budgets).  ``None`` lets every member run to its own
         completion.
-    use_cache, jobs, max_cache_entries, use_delta, cache_store, cache_path:
+    use_cache, max_cache_entries, use_delta, cache_store, cache_path:
         Shared-engine knobs, exactly as on
-        :class:`~repro.core.strategy.DesignEvaluator`.  With
+        :class:`~repro.engine.engine.EvaluationEngine`.  With
         ``cache_store="sqlite"`` the whole race shares one persistent
         result store: any member's priced design is served warm to the
         others, and to future races against the same path.
@@ -197,7 +199,6 @@ class PortfolioRunner:
         members: Sequence,
         budget: Optional[Budget] = None,
         use_cache: bool = True,
-        jobs: int = 1,
         max_cache_entries: Optional[int] = -1,
         use_delta: bool = True,
         cache_store: str = "memory",
@@ -208,7 +209,6 @@ class PortfolioRunner:
         self.members = list(members)
         self.budget = budget
         self.use_cache = use_cache
-        self.jobs = jobs
         self.max_cache_entries = max_cache_entries
         self.use_delta = use_delta
         self.cache_store = cache_store
@@ -217,19 +217,15 @@ class PortfolioRunner:
     # ------------------------------------------------------------------
     def run(self, spec: "DesignSpec") -> PortfolioResult:
         """Race every member on ``spec``; deterministic winner."""
-        from repro.core.strategy import DesignEvaluator
-        from repro.engine.cache import DEFAULT_MAX_ENTRIES
-
         max_entries = (
             DEFAULT_MAX_ENTRIES
             if self.max_cache_entries == -1
             else self.max_cache_entries
         )
         started = time.perf_counter()
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec,
             use_cache=self.use_cache,
-            jobs=self.jobs,
             max_cache_entries=max_entries,
             use_delta=self.use_delta,
             cache_store=self.cache_store,
@@ -258,7 +254,7 @@ class PortfolioRunner:
 
     # ------------------------------------------------------------------
     def _race(
-        self, spec: "DesignSpec", evaluator: "DesignEvaluator"
+        self, spec: "DesignSpec", evaluator: EvaluationEngine
     ) -> Tuple[List[PortfolioMemberOutcome], bool]:
         budget = self.budget if self.budget is not None else Budget()
         started = time.perf_counter()

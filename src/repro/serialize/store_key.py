@@ -18,7 +18,7 @@ outcomes across processes and runs, keyed by *what was evaluated*:
 
 Both keys are pure functions of their inputs -- no timestamps, no
 environment -- which is what makes a warm store safe to share across
-worker processes and restarts.
+shard processes and restarts.
 """
 
 from __future__ import annotations

@@ -10,13 +10,13 @@ from repro.core.improvement import (
     select_candidates,
     steepest_descent,
 )
-from repro.core.strategy import DesignEvaluator
 from repro.core.transformations import (
     CandidateDesign,
     DelayMessage,
     RemapProcess,
     SwapPriorities,
 )
+from repro.engine import EvaluationEngine
 from repro.gen.scenario import ScenarioParams, build_scenario
 from repro.sched.priorities import hcp_priorities
 from repro.core.initial_mapping import InitialMapper
@@ -32,7 +32,7 @@ def setup():
     mapping, _ = mapper.try_map_and_schedule(
         scenario.current, base=scenario.base_schedule
     )
-    evaluator = DesignEvaluator(spec)
+    evaluator = EvaluationEngine(spec)
     start = evaluator.evaluate(
         CandidateDesign(
             mapping, hcp_priorities(scenario.current, scenario.architecture.bus)

@@ -6,7 +6,8 @@ to the object kernel, which stays as the test oracle
 (:mod:`kernel_oracle`) -- every metric value, the objective, and
 failure reporting match across all registered scenario families,
 through chained delta generations and delta-resumed states, under
-every binpack policy, with the cache on or off and with ``--jobs 2``.  Plus the lazy-decode boundary: the hot path never builds
+every binpack policy, with the cache on or off and with the delta
+kernel off.  Plus the lazy-decode boundary: the hot path never builds
 an object schedule, :attr:`EvaluatedDesign.schedule` decodes on demand
 (also after a pickle round trip and for columnless states), and
 :meth:`ArraySpec.decode_schedule` refuses columnless states loudly.
@@ -250,7 +251,7 @@ def test_resumed_state_prices_like_cold_state():
 
 
 # ----------------------------------------------------------------------
-# engine-level determinism: cache on/off, jobs, delta
+# engine-level determinism: cache on/off, delta
 # ----------------------------------------------------------------------
 def _engine_outcomes(spec, design, moves, **kwargs):
     with EvaluationEngine(spec, **kwargs) as engine:
@@ -259,7 +260,7 @@ def _engine_outcomes(spec, design, moves, **kwargs):
 
 
 def test_engine_variants_price_identically():
-    """Every engine variant (cache on/off, jobs=2, delta off) prices
+    """Every engine variant (cache on/off, delta off) prices
     each child exactly like the object oracle."""
     spec, _, design = _cell("uniform-baseline")
     pids = [p.id for p in spec.current.processes]
@@ -267,7 +268,6 @@ def test_engine_variants_price_identically():
     for kwargs in (
         {},
         {"use_cache": False},
-        {"jobs": 2, "parallel_threshold": 0},
         {"use_delta": False},
     ):
         outcomes = _engine_outcomes(spec, design, moves, **kwargs)
@@ -280,7 +280,7 @@ def test_engine_variants_price_identically():
 class TestSeededStrategyByteIdentity:
     """Every candidate a seeded search visits prices like the object
     oracle -- i.e. the array metric path never perturbs a single
-    comparison -- and the design is the same with a worker pool."""
+    comparison -- and the design is the same with the cache off."""
 
     def test_mh(self, monkeypatch):
         from repro.experiments.runner import design_identity
@@ -291,7 +291,7 @@ class TestSeededStrategyByteIdentity:
         reference = design_identity(MappingHeuristic().design(spec))
         assert_search_matches_oracle(spec, seen)
         assert (
-            design_identity(MappingHeuristic(jobs=2).design(spec))
+            design_identity(MappingHeuristic(use_cache=False).design(spec))
             == reference
         )
 

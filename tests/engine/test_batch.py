@@ -1,37 +1,10 @@
-"""Tests for parallel batch evaluation and its determinism contract."""
-
-import os
+"""Tests for batch evaluation through the EvaluationEngine: its closed
+state and the order and accounting of ``evaluate_many``."""
 
 import pytest
 
-from repro.core.initial_mapping import InitialMapper
-from repro.core.strategy import DesignEvaluator, make_strategy
-from repro.core.transformations import CandidateDesign, RemapProcess, SwapPriorities
-from repro.engine.batch import BatchEvaluator
-from repro.engine.compiled_spec import CompiledSpec
-from repro.sched.priorities import hcp_priorities
-
-
-@pytest.fixture(scope="module")
-def neighbourhood(spec):
-    """A batch of candidate designs around the IM starting point."""
-    mapper = InitialMapper(spec.architecture)
-    mapping, _ = mapper.try_map_and_schedule(
-        spec.current, base=spec.base_schedule
-    )
-    start = CandidateDesign(
-        mapping, hcp_priorities(spec.current, spec.architecture.bus)
-    )
-    designs = [start]
-    processes = spec.current.processes
-    for proc in processes[:4]:
-        for node in proc.allowed_nodes:
-            if node != mapping.node_of(proc.id):
-                designs.append(RemapProcess(proc.id, node).apply(start))
-    designs.append(
-        SwapPriorities(processes[0].id, processes[-1].id).apply(start)
-    )
-    return start, designs
+from repro.engine import EvaluationEngine
+from repro.engine.store import SqliteResultStore
 
 
 def _outcomes(results):
@@ -39,289 +12,61 @@ def _outcomes(results):
 
 
 class TestBatchEvaluator:
-    def test_pool_matches_serial(self, spec, neighbourhood):
-        _, designs = neighbourhood
-        compiled = CompiledSpec(spec)
-        serial = BatchEvaluator(compiled, jobs=1)
-        with BatchEvaluator(
-            compiled, jobs=2, parallel_threshold=0
-        ) as pooled:
-            assert pooled._use_pool(len(designs))
-            par = pooled.evaluate_batch(designs)
-        ser = serial.evaluate_batch(designs)
-        assert _outcomes(par) == _outcomes(ser)
-        # Pool results must reference the caller's original candidates,
-        # not the workers' unpickled model copies.
-        for design, outcome in zip(designs, par):
-            if outcome is not None:
-                assert outcome.design is design
-
-    def test_small_problem_falls_back_to_serial(self, spec):
-        compiled = CompiledSpec(spec)
-        pooled = BatchEvaluator(
-            compiled, jobs=2, parallel_threshold=compiled.total_jobs + 1
-        )
-        assert not pooled._use_pool(100)
-        assert pooled._executor is None
-
-    def test_single_candidate_stays_serial(self, spec):
-        compiled = CompiledSpec(spec)
-        pooled = BatchEvaluator(compiled, jobs=2, parallel_threshold=0)
-        assert not pooled._use_pool(1)
-
     def test_close_is_sticky_and_idempotent(self, spec, neighbourhood):
-        _, designs = neighbourhood
-        evaluator = BatchEvaluator(
-            CompiledSpec(spec), jobs=2, parallel_threshold=0
-        )
-        evaluator.evaluate_batch(designs[:3])
-        evaluator.close()
-        evaluator.close()
-        assert evaluator.closed
-        assert evaluator._executor is None
-
-    def test_closed_evaluator_refuses_evaluation(self, spec, neighbourhood):
-        _, designs = neighbourhood
-        evaluator = BatchEvaluator(
-            CompiledSpec(spec), jobs=2, parallel_threshold=0
-        )
-        evaluator.close()
-        # A closed evaluator must refuse instead of silently recreating
-        # a pool (or quietly degrading to serial evaluation).
-        with pytest.raises(RuntimeError):
-            evaluator.evaluate_batch(designs)
-        with pytest.raises(RuntimeError):
-            evaluator.evaluate_one(designs[0])
-        assert evaluator._executor is None
+        engine = EvaluationEngine(spec)
+        engine.evaluate_many(neighbourhood[:3])
+        engine.close()
+        engine.close()
+        assert engine.closed
 
     def test_closed_engine_refuses_evaluation(self, spec, neighbourhood):
-        _, designs = neighbourhood
-        evaluator = DesignEvaluator(spec)
-        evaluator.evaluate(designs[0])
-        evaluator.close()
-        assert evaluator.engine.closed
-        with pytest.raises(RuntimeError):
-            evaluator.evaluate(designs[0])
-        with pytest.raises(RuntimeError):
-            evaluator.evaluate_many(designs)
+        engine = EvaluationEngine(spec)
+        engine.evaluate(neighbourhood[0])
+        engine.close()
+        # Even a would-be cache hit is refused: a closed engine refuses
+        # all evaluation uniformly.
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.evaluate(neighbourhood[0])
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.evaluate_many(neighbourhood)
         # Accounting stays readable after close (strategies record
         # statistics once the search has finished or failed).
-        assert evaluator.evaluations == 1
+        assert engine.evaluations == 1
 
-    def test_pool_released_when_strategy_raises_mid_search(
-        self, spec, monkeypatch
+    def test_closed_evaluator_refuses_evaluation(
+        self, spec, neighbourhood, tmp_path
     ):
-        """A strategy failing mid-search must still shut its pool down."""
-        import repro.core.mapping_heuristic as mh_module
-
-        captured = {}
-        original = DesignEvaluator
-
-        class CapturingEvaluator(original):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                captured["evaluator"] = self
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("mid-search failure")
-
-        monkeypatch.setattr(mh_module, "DesignEvaluator", CapturingEvaluator)
-        monkeypatch.setattr(mh_module, "descent_loop", boom)
-        strategy = make_strategy("MH", jobs=2)
-        with pytest.raises(RuntimeError, match="mid-search failure"):
-            strategy.design(spec)
-        evaluator = captured["evaluator"]
-        assert evaluator.engine.closed
-        assert evaluator.engine.batch._executor is None
+        engine = EvaluationEngine(
+            spec, cache_store="sqlite", cache_path=str(tmp_path / "c.sqlite")
+        )
+        engine.evaluate_many(neighbourhood[:3])
+        engine.close()
+        backend = engine.cache.backend
+        assert isinstance(backend, SqliteResultStore)
+        assert not backend.persistent
+        # A closed engine must refuse instead of silently reopening its
+        # store; the refused batch counts nothing and reopens nothing.
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.evaluate_many(neighbourhood)
+        assert engine.evaluations == 3
+        assert not backend.persistent
 
 
 class TestEvaluateMany:
     def test_order_preserved_and_cached(self, spec, neighbourhood):
-        _, designs = neighbourhood
-        with DesignEvaluator(spec) as evaluator:
-            batch = evaluator.evaluate_many(designs)
-            singles = [evaluator.evaluate(d) for d in designs]
+        with EvaluationEngine(spec) as engine:
+            batch = engine.evaluate_many(neighbourhood)
+            singles = [engine.evaluate(d) for d in neighbourhood]
+            assert engine.cache_hits == len(neighbourhood)
         assert _outcomes(batch) == _outcomes(singles)
 
-    def test_duplicates_within_batch_scheduled_once(self, spec, neighbourhood):
-        start, _ = neighbourhood
-        with DesignEvaluator(spec) as evaluator:
-            results = evaluator.evaluate_many([start, start.copy(), start])
-            assert evaluator.evaluations == 3
+    def test_duplicates_within_batch_scheduled_once(self, spec, start):
+        with EvaluationEngine(spec) as engine:
+            results = engine.evaluate_many([start, start.copy(), start])
+            assert engine.evaluations == 3
             # One real scheduling pass; the duplicates count as hits so
             # evaluations == hits + misses stays an invariant.
-            assert evaluator.cache_misses == 1
-            assert evaluator.cache_hits == 2
+            assert engine.cache_misses == 1
+            assert engine.cache_hits == 2
             assert _outcomes(results)[0] is not None
             assert len(set(_outcomes(results))) == 1
-
-    def test_parallel_evaluator_matches_serial(self, spec, neighbourhood):
-        _, designs = neighbourhood
-        with DesignEvaluator(
-            spec, use_cache=False, jobs=2, parallel_threshold=0
-        ) as par:
-            par_out = par.evaluate_many(designs)
-        ser = DesignEvaluator(spec, use_cache=False)
-        assert _outcomes(par_out) == _outcomes(ser.evaluate_many(designs))
-
-
-class TestSeededRunDeterminism:
-    def test_sa_identical_serial_vs_jobs2(self, spec):
-        serial = make_strategy("SA", iterations=60, seed=11).design(spec)
-        parallel = make_strategy(
-            "SA", iterations=60, seed=11, jobs=2
-        ).design(spec)
-        assert serial.valid and parallel.valid
-        assert serial.mapping.as_dict() == parallel.mapping.as_dict()
-        assert serial.priorities == parallel.priorities
-        assert serial.message_delays == parallel.message_delays
-        assert serial.objective == parallel.objective
-        assert serial.evaluations == parallel.evaluations
-
-    def test_mh_identical_serial_vs_jobs2(self, spec):
-        serial = make_strategy("MH").design(spec)
-        parallel = make_strategy("MH", jobs=2).design(spec)
-        assert serial.valid and parallel.valid
-        assert serial.mapping.as_dict() == parallel.mapping.as_dict()
-        assert serial.priorities == parallel.priorities
-        assert serial.objective == parallel.objective
-
-
-class _ExplodingMove:
-    """Module-level (hence picklable) move that raises in the worker."""
-
-    def apply(self, design):
-        raise RuntimeError("exploding move")
-
-
-class _WorkerKillingMove:
-    """Module-level move that kills its worker process outright."""
-
-    def apply(self, design):
-        os._exit(1)
-
-
-class TestAbortPool:
-    """Regression: in-flight failures must terminate the pool, not
-    join it, and leave the evaluator sticky-closed."""
-
-    def _pooled_parent(self, spec):
-        evaluator = BatchEvaluator(
-            CompiledSpec(spec), jobs=2, parallel_threshold=0
-        )
-        parent = evaluator.evaluate_one(
-            _start_design(spec)
-        )
-        assert parent is not None and parent.trace is not None
-        return evaluator, parent
-
-    def test_worker_exception_mid_chunk_aborts_pool(self, spec):
-        evaluator, parent = self._pooled_parent(spec)
-        moves = [_ExplodingMove() for _ in range(4)]
-        children = [parent.design.copy() for _ in moves]
-        before = evaluator.timings.snapshot()
-        with pytest.raises(RuntimeError, match="exploding move"):
-            evaluator.evaluate_moves(parent, moves, children)
-        # Dropped chunks must not leak their workers' stage timings
-        # into the engine sink (deltas merge only on clean receipt).
-        assert evaluator.timings.snapshot() == before
-        assert evaluator.closed
-        assert evaluator._executor is None
-        with pytest.raises(RuntimeError, match="closed"):
-            evaluator.evaluate_batch([parent.design])
-
-    def test_worker_death_mid_chunk_aborts_pool(self, spec):
-        from concurrent.futures.process import BrokenProcessPool
-
-        evaluator, parent = self._pooled_parent(spec)
-        moves = [_WorkerKillingMove() for _ in range(4)]
-        children = [parent.design.copy() for _ in moves]
-        with pytest.raises(BrokenProcessPool):
-            evaluator.evaluate_moves(parent, moves, children)
-        assert evaluator.closed
-        assert evaluator._executor is None
-        with pytest.raises(RuntimeError, match="closed"):
-            evaluator.evaluate_one(parent.design)
-
-    def test_abort_without_executor_is_safe(self, spec):
-        evaluator = BatchEvaluator(
-            CompiledSpec(spec), jobs=2, parallel_threshold=0
-        )
-        evaluator._abort_pool()
-        assert evaluator.closed
-        assert evaluator._executor is None
-
-
-def _start_design(spec):
-    mapper = InitialMapper(spec.architecture)
-    mapping, _ = mapper.try_map_and_schedule(
-        spec.current, base=spec.base_schedule
-    )
-    return CandidateDesign(
-        mapping, hcp_priorities(spec.current, spec.architecture.bus)
-    )
-
-
-class TestDispatchChunksize:
-    """Chunking must keep every worker busy for any batch size."""
-
-    def test_fair_share_cap(self):
-        from repro.engine.batch import dispatch_chunksize
-
-        # A batch barely above MIN_PARALLEL_BATCH must still be split
-        # so that no chunk swallows (nearly) the whole batch.
-        for n in range(1, 64):
-            for jobs in range(1, 9):
-                chunk = dispatch_chunksize(n, jobs)
-                assert chunk >= 1
-                fair = -(-n // jobs)
-                assert chunk <= fair, (n, jobs, chunk)
-
-    def test_every_worker_gets_a_chunk(self):
-        from repro.engine.batch import dispatch_chunksize
-
-        for n in range(1, 200):
-            for jobs in range(2, 9):
-                chunk = dispatch_chunksize(n, jobs)
-                n_chunks = -(-n // chunk)
-                assert n_chunks >= min(n, jobs), (n, jobs, chunk, n_chunks)
-
-    def test_load_balancing_target(self):
-        from repro.engine.batch import CHUNKS_PER_WORKER, dispatch_chunksize
-
-        # Large batches aim for ~CHUNKS_PER_WORKER chunks per worker.
-        chunk = dispatch_chunksize(1000, 4)
-        n_chunks = -(-1000 // chunk)
-        assert n_chunks >= 4 * CHUNKS_PER_WORKER
-
-    def test_serial_degenerate_cases(self):
-        from repro.engine.batch import dispatch_chunksize
-
-        assert dispatch_chunksize(0, 4) == 1
-        assert dispatch_chunksize(10, 1) == 1
-        assert dispatch_chunksize(10, 0) == 1
-
-    def test_dispatch_distribution_regression(self):
-        """Simulated round-robin dispatch leaves no worker idle.
-
-        Regression for the historical ``len // (jobs * 4)`` formula: a
-        cap at the fair share guarantees at least ``min(n, jobs)``
-        chunks, so a pool of ``jobs`` workers pulling chunks greedily
-        all receive work whenever the batch has enough items.
-        """
-        from repro.engine.batch import dispatch_chunksize
-
-        for n, jobs in [(2, 8), (5, 4), (9, 8), (33, 8), (97, 6)]:
-            chunk = dispatch_chunksize(n, jobs)
-            chunks = [
-                list(range(i, min(i + chunk, n))) for i in range(0, n, chunk)
-            ]
-            # greedy pull: worker w takes chunk w, then jobs+w, ...
-            per_worker = [chunks[w::jobs] for w in range(jobs)]
-            busy = sum(1 for assigned in per_worker if assigned)
-            assert busy == min(n, jobs), (n, jobs, chunk, busy)
-            # and no worker owns (nearly) the whole batch
-            heaviest = max(
-                sum(len(c) for c in assigned) for assigned in per_worker
-            )
-            assert heaviest <= -(-n // jobs) * -(-len(chunks) // jobs)

@@ -9,7 +9,8 @@ byte-for-byte whichever store sits underneath the cache.
 import pytest
 
 from repro.core.initial_mapping import InitialMapper
-from repro.core.strategy import DesignEvaluator, make_strategy
+from repro.core.strategy import make_strategy
+from repro.engine import EvaluationEngine
 from repro.core.transformations import CandidateDesign, RemapProcess
 from repro.engine.cache import EvaluationCache
 from repro.engine.store import DEFAULT_MAX_ENTRIES, SqliteResultStore
@@ -105,7 +106,7 @@ def store_kwargs(request, tmp_path):
 
 class TestEngineCaching:
     def test_repeat_evaluation_hits(self, spec, im_design, store_kwargs):
-        with DesignEvaluator(spec, **store_kwargs) as evaluator:
+        with EvaluationEngine(spec, **store_kwargs) as evaluator:
             first = evaluator.evaluate(im_design)
             second = evaluator.evaluate(im_design)
             assert first is second
@@ -114,7 +115,7 @@ class TestEngineCaching:
             assert evaluator.cache_misses == 1
 
     def test_copies_share_cache_entry(self, spec, im_design, store_kwargs):
-        with DesignEvaluator(spec, **store_kwargs) as evaluator:
+        with EvaluationEngine(spec, **store_kwargs) as evaluator:
             first = evaluator.evaluate(im_design)
             second = evaluator.evaluate(im_design.copy())
             assert first is second
@@ -123,7 +124,7 @@ class TestEngineCaching:
     def test_invalid_candidates_cached(self, spec, im_design, store_kwargs):
         # An overloaded single-node mapping that cannot meet deadlines
         # still gets its (None) verdict memoized.
-        with DesignEvaluator(spec, **store_kwargs) as evaluator:
+        with EvaluationEngine(spec, **store_kwargs) as evaluator:
             evaluator.evaluate(im_design)
             move = None
             for proc in spec.current.processes:
@@ -158,7 +159,7 @@ class TestEngineCaching:
                 break
         assert move is not None
         other = move.apply(im_design)
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, max_cache_entries=2, **store_kwargs
         ) as evaluator:
             # Batch: [A, B, A] -> stores A then B, then the duplicate
@@ -166,7 +167,7 @@ class TestEngineCaching:
             evaluator.evaluate_many([im_design, other, im_design])
             assert evaluator.cache_misses == 2
             assert evaluator.cache_hits == 1
-            cache = evaluator.engine.cache
+            cache = evaluator.cache
             sig_a = evaluator.compiled.signature(im_design)
             sig_b = evaluator.compiled.signature(other)
             assert list(cache._store) == [sig_b, sig_a]
@@ -188,23 +189,23 @@ class TestEngineCaching:
                 break
         assert move is not None
         other = move.apply(im_design)
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, max_cache_entries=2, **store_kwargs
         ) as batched:
             batched.evaluate_many([im_design, im_design.copy(), other])
-            batch_order = list(batched.engine.cache._store)
+            batch_order = list(batched.cache._store)
             batch_stats = (batched.cache_hits, batched.cache_misses)
         serial_kwargs = dict(store_kwargs)
         if serial_kwargs.get("cache_path"):
             # A fresh database: the serial run must replay cold, not be
             # served by the batched run's rows.
             serial_kwargs["cache_path"] = str(tmp_path / "serial.sqlite")
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, max_cache_entries=2, **serial_kwargs
         ) as serial:
             for design in (im_design, im_design.copy(), other):
                 serial.evaluate(design)
-            serial_order = list(serial.engine.cache._store)
+            serial_order = list(serial.cache._store)
             serial_stats = (serial.cache_hits, serial.cache_misses)
         assert batch_order == serial_order
         assert batch_stats == serial_stats == (1, 2)

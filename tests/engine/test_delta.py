@@ -21,7 +21,6 @@ from repro.core.improvement import DescentParams, steepest_descent
 from repro.core.initial_mapping import InitialMapper
 from repro.core.mapping_heuristic import MappingHeuristic
 from repro.core.simulated_annealing import SimulatedAnnealing
-from repro.core.strategy import DesignEvaluator
 from repro.core.transformations import (
     CandidateDesign,
     DelayMessage,
@@ -254,23 +253,24 @@ class TestEngineMoveAPI:
             assert a.cache_stats().hits == b.cache_stats().hits
             assert a.cache_stats().misses == b.cache_stats().misses
 
-    def test_pool_path_matches_serial_and_stats(self, spec):
-        with EvaluationEngine(spec, use_cache=False) as serial, EvaluationEngine(
-            spec, use_cache=False, jobs=2, parallel_threshold=0
-        ) as pooled:
-            parent_s = im_parent(spec, serial.compiled)
-            parent_p = im_parent(spec, pooled.compiled)
+    def test_uncached_batch_matches_single_moves_and_stats(self, spec):
+        with EvaluationEngine(spec, use_cache=False) as single, EvaluationEngine(
+            spec, use_cache=False
+        ) as batched:
+            parent_s = im_parent(spec, single.compiled)
+            parent_b = im_parent(spec, batched.compiled)
             moves = systematic_moves(spec, parent_s)
-            res_s = serial.evaluate_moves(parent_s, moves)
-            res_p = pooled.evaluate_moves(parent_p, moves)
-            for x, y in zip(res_s, res_p):
+            res_s = [single.evaluate_move(parent_s, m) for m in moves]
+            res_b = batched.evaluate_moves(parent_b, moves)
+            for x, y in zip(res_s, res_b):
                 assert (x is None) == (y is None)
                 if x is not None:
                     assert x.metrics == y.metrics
                     assert occupancy(x.schedule) == occupancy(y.schedule)
-                    # pooled outcomes carry the delta attachment too
+                    # batched outcomes carry the delta attachment too
                     assert y.trace is not None
-            assert serial.delta_stats() == pooled.delta_stats()
+            assert single.delta_stats() == batched.delta_stats()
+            assert batched.delta_stats().hits > 0
 
     def test_closed_engine_refuses_move_evaluation(self, spec):
         engine = EvaluationEngine(spec)
@@ -297,9 +297,9 @@ class TestEngineMoveAPI:
 
 
 class TestSteepestDescentDelta:
-    def test_descent_identical_with_delta_off_and_pool(self, spec):
+    def test_descent_identical_with_delta_and_cache_off(self, spec):
         def run(**kwargs):
-            with DesignEvaluator(spec, **kwargs) as evaluator:
+            with EvaluationEngine(spec, **kwargs) as evaluator:
                 parent = im_parent(spec, evaluator.compiled)
                 best = steepest_descent(
                     spec, evaluator, parent, DescentParams(max_iterations=6)
@@ -314,8 +314,7 @@ class TestSteepestDescentDelta:
         reference = run()
         assert run(use_delta=False) == reference
         assert run(use_cache=False) == reference
-        assert run(jobs=2, parallel_threshold=0) == reference
-        assert run(jobs=3, parallel_threshold=0, use_cache=False) == reference
+        assert run(use_delta=False, use_cache=False) == reference
 
 
 # ----------------------------------------------------------------------
@@ -393,7 +392,7 @@ def test_delta_equals_cold_property(family_name, data):
 
 
 # ----------------------------------------------------------------------
-# seeded strategy runs: byte-identical with delta on/off and any jobs
+# seeded strategy runs: byte-identical with delta and cache on/off
 # ----------------------------------------------------------------------
 class TestSeededStrategyEquivalence:
     @pytest.mark.parametrize("family_name", ["uniform-baseline", "pipeline"])
@@ -407,9 +406,6 @@ class TestSeededStrategyEquivalence:
             design_identity(MappingHeuristic(use_delta=False).design(spec))
             == reference
         )
-        assert (
-            design_identity(MappingHeuristic(jobs=2).design(spec)) == reference
-        )
 
     def test_sa_identical_delta_on_off(self, spec):
         from repro.experiments.runner import design_identity
@@ -419,6 +415,5 @@ class TestSeededStrategyEquivalence:
         for variant in (
             SimulatedAnnealing(iterations=120, seed=3, use_delta=False),
             SimulatedAnnealing(iterations=120, seed=3, use_cache=False),
-            SimulatedAnnealing(iterations=120, seed=3, jobs=2),
         ):
             assert design_identity(variant.design(spec)) == reference

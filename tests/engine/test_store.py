@@ -1,5 +1,5 @@
 """Tests for the persistent result store: round trips, degradation,
-the not-found vs cached-invalid distinction, and worker read-through."""
+the not-found vs cached-invalid distinction, and warm engine batches."""
 
 import json
 import sqlite3
@@ -8,9 +8,8 @@ import warnings
 import pytest
 
 from repro.core.initial_mapping import InitialMapper
-from repro.core.strategy import DesignEvaluator
-from repro.core.transformations import CandidateDesign
-from repro.engine import batch as batch_module
+from repro.core.transformations import CandidateDesign, RemapProcess
+from repro.engine import EvaluationEngine, evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.store import (
     SCHEMA_VERSION,
@@ -51,7 +50,7 @@ class TestSqliteStore:
         path = tmp_path / "store.sqlite"
         signature = compiled.signature(im_design)
         writer = SqliteResultStore(path, compiled=compiled)
-        cold = batch_module.evaluate_candidate(compiled, im_design)
+        cold = evaluate_candidate(compiled, im_design)
         assert cold is not None
         writer.put(signature, cold)
         writer.close()
@@ -223,7 +222,7 @@ class TestSqliteStore:
 class TestEngineStoreIntegration:
     def test_warm_restart_serves_from_store(self, spec, im_design, tmp_path):
         path = str(tmp_path / "store.sqlite")
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, cache_store="sqlite", cache_path=path
         ) as cold_eval:
             cold = cold_eval.evaluate(im_design)
@@ -231,7 +230,7 @@ class TestEngineStoreIntegration:
             assert cold_eval.store_misses == 1
             assert cold_eval.store_writes >= 1
             cold_json = _schedule_json(cold)
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, cache_store="sqlite", cache_path=path
         ) as warm_eval:
             warm = warm_eval.evaluate(im_design)
@@ -254,17 +253,17 @@ class TestEngineStoreIntegration:
             for p in spec.current.processes:
                 if node in p.allowed_nodes:
                     candidate.mapping.assign(p.id, node)
-            with DesignEvaluator(spec, use_cache=False) as probe:
+            with EvaluationEngine(spec, use_cache=False) as probe:
                 if probe.evaluate(candidate) is None:
                     overloaded = candidate
                     break
         assert overloaded is not None, "no overloaded candidate found"
         path = str(tmp_path / "store.sqlite")
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, cache_store="sqlite", cache_path=path
         ) as cold_eval:
             assert cold_eval.evaluate(overloaded) is None
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, cache_store="sqlite", cache_path=path
         ) as warm_eval:
             assert warm_eval.evaluate(overloaded) is None
@@ -279,41 +278,34 @@ class TestEngineStoreIntegration:
         mutated = CandidateDesign(
             im_design.mapping.copy(), dict(im_design.priorities)
         )
-        with DesignEvaluator(spec, **store_kwargs_local) as evaluator:
+        with EvaluationEngine(spec, **store_kwargs_local) as evaluator:
             first = evaluator.evaluate(mutated)
             second = evaluator.evaluate(mutated)
             assert first is second or (first is None and second is None)
             assert evaluator.cache_misses == 1
             assert evaluator.cache_hits == 1
 
-    def test_workers_read_through_warm_store(self, spec, im_design, tmp_path):
+    def test_warm_store_serves_whole_batch(self, spec, im_design, tmp_path):
         path = str(tmp_path / "store.sqlite")
         designs = [im_design]
         for proc in spec.current.processes[:4]:
             for node in proc.allowed_nodes:
                 if node != im_design.mapping.node_of(proc.id):
-                    from repro.core.transformations import RemapProcess
-
                     designs.append(
                         RemapProcess(proc.id, node).apply(im_design)
                     )
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, cache_store="sqlite", cache_path=path
         ) as primer:
             baseline = primer.evaluate_many(designs)
-        with DesignEvaluator(
-            spec,
-            jobs=2,
-            parallel_threshold=0,
-            cache_store="sqlite",
-            cache_path=path,
-        ) as pooled:
-            # Distinct cache: every candidate misses the resident tiers
-            # and is either served by a worker's read-only store view or
-            # by the parent store's own probe.
-            warm = pooled.evaluate_many(designs)
-            assert pooled.store_hits == len(designs)
-            assert pooled.store_misses == 0
+        with EvaluationEngine(
+            spec, cache_store="sqlite", cache_path=path
+        ) as warm_engine:
+            # A fresh resident tier: every candidate is served by the
+            # database, none is solved again.
+            warm = warm_engine.evaluate_many(designs)
+            assert warm_engine.store_hits == len(designs)
+            assert warm_engine.store_misses == 0
         for a, b in zip(baseline, warm):
             assert (a is None) == (b is None)
             if a is not None:
@@ -328,35 +320,3 @@ def store_kwargs_local(request, tmp_path):
         "cache_store": "sqlite",
         "cache_path": str(tmp_path / "engine.sqlite"),
     }
-
-
-class TestResidentParentSentinel:
-    def test_invalid_parent_cold_built_once(self, spec, monkeypatch):
-        """Regression: a resident parent whose verdict is ``None``
-        (invalid) must not be rebuilt on every chunk naming it."""
-        batch_module._init_worker(spec, True)
-        try:
-            calls = {"n": 0}
-
-            def counting_none(*args, **kwargs):
-                calls["n"] += 1
-                return None
-
-            monkeypatch.setattr(
-                batch_module, "evaluate_candidate", counting_none
-            )
-            mapper = InitialMapper(spec.architecture)
-            mapping, _ = mapper.try_map_and_schedule(
-                spec.current, base=spec.base_schedule
-            )
-            design = CandidateDesign(
-                mapping, hcp_priorities(spec.current, spec.architecture.bus)
-            )
-            compiled = batch_module._WORKER_STATE[1]
-            signature = compiled.signature(design)
-            payload = batch_module._to_payload(design)
-            assert batch_module._resident_parent(signature, payload) is None
-            assert batch_module._resident_parent(signature, payload) is None
-            assert calls["n"] == 1
-        finally:
-            batch_module._WORKER_STATE = None

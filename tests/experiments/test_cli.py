@@ -329,6 +329,86 @@ class TestNumericFlags:
         )
 
 
+class TestNameFlags:
+    """Family, preset and strategy names are checked at parse time: exit
+    2 with a one-line message listing the valid choices, instead of a
+    traceback from deep in the run."""
+
+    @staticmethod
+    def _rejects(capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err.strip().splitlines()[-1]
+
+    def test_run_unknown_family(self, capsys):
+        line = self._rejects(capsys, ["scenarios", "run", "nosuch"])
+        assert "unknown family 'nosuch'" in line
+        assert "uniform-baseline" in line and "pipeline" in line
+
+    def test_portfolio_unknown_family(self, capsys):
+        line = self._rejects(capsys, ["scenarios", "portfolio", "nosuch"])
+        assert "unknown family 'nosuch'" in line
+
+    def test_sweep_unknown_family(self, capsys):
+        line = self._rejects(
+            capsys, ["scenarios", "sweep", "--families", "nosuch"]
+        )
+        assert "unknown family 'nosuch'" in line and "bursty" in line
+
+    def test_smoke_unknown_family(self, capsys):
+        line = self._rejects(
+            capsys, ["scenarios", "smoke", "--families", "nosuch"]
+        )
+        assert "unknown family 'nosuch'" in line and "bursty" in line
+
+    def test_run_unknown_preset(self, capsys):
+        line = self._rejects(
+            capsys, ["scenarios", "run", "uniform-baseline", "--preset", "nope"]
+        )
+        assert "--preset 'nope'" in line
+        assert "tiny, small, medium" in line
+
+    def test_sweep_unknown_preset(self, capsys):
+        line = self._rejects(
+            capsys,
+            ["scenarios", "sweep", "--families", "pipeline", "--preset", "nope"],
+        )
+        assert "--preset 'nope'" in line and "pipeline" in line
+
+    def test_portfolio_unknown_strategy(self, capsys):
+        line = self._rejects(
+            capsys,
+            ["scenarios", "portfolio", "uniform-baseline",
+             "--strategies", "MH", "XX"],
+        )
+        assert "unknown strategy 'XX'" in line
+        assert "AH, MH, SA or SA@k" in line
+
+    def test_portfolio_bad_variant(self, capsys):
+        line = self._rejects(
+            capsys,
+            ["scenarios", "portfolio", "uniform-baseline",
+             "--strategies", "SA@0"],
+        )
+        assert "unknown strategy 'SA@0'" in line
+
+    def test_run_variant_of_deterministic_strategy(self, capsys):
+        line = self._rejects(
+            capsys,
+            ["scenarios", "run", "uniform-baseline", "--strategies", "MH@2"],
+        )
+        assert "unknown strategy 'MH@2'" in line
+
+    def test_jobs_flag_is_gone(self, capsys):
+        line = self._rejects(
+            capsys, ["scenarios", "run", "uniform-baseline", "--jobs", "2"]
+        )
+        assert "unrecognized arguments: --jobs 2" in line
+
+
 class TestPortfolioCli:
     @staticmethod
     def _member_rows(out):

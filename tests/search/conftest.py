@@ -6,7 +6,7 @@ import pytest
 
 from searchutil import small_scenario, start_of
 
-from repro.core.strategy import DesignEvaluator
+from repro.engine import EvaluationEngine
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +21,7 @@ def spec(scenario):
 
 @pytest.fixture(scope="module")
 def evaluator(spec):
-    with DesignEvaluator(spec) as shared:
+    with EvaluationEngine(spec) as shared:
         yield shared
 
 

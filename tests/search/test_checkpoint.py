@@ -7,7 +7,7 @@ import numpy as np
 from searchutil import identity, small_scenario, start_of
 
 from repro.core.simulated_annealing import SimulatedAnnealing
-from repro.core.strategy import DesignEvaluator
+from repro.engine import EvaluationEngine
 from repro.search.acceptors import GreedyAcceptor, MetropolisAcceptor
 from repro.search.budget import Budget, StealRequested
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused, SearchCheckpoint
@@ -52,12 +52,12 @@ class TestSerialization:
 class TestResume:
     def test_cut_and_resume_equals_uninterrupted_walk(self, spec):
         """40 steps + resume to 100 == straight 100-step run."""
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             start = start_of(spec, evaluator)
             straight = walk_loop(100).run(
                 spec, evaluator, start=start, rng=np.random.default_rng(42)
             )
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             start = start_of(spec, evaluator)
             cut = walk_loop(40).run(
                 spec, evaluator, start=start, rng=np.random.default_rng(42)
@@ -80,24 +80,24 @@ class TestResume:
 
     def test_resume_into_fresh_engine(self, spec):
         """A checkpoint outlives the engine that produced it."""
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             start = start_of(spec, evaluator)
             cut = walk_loop(20).run(
                 spec, evaluator, start=start, rng=np.random.default_rng(9)
             )
-        with DesignEvaluator(spec) as fresh:
+        with EvaluationEngine(spec) as fresh:
             resumed = walk_loop(45).resume(spec, fresh, cut.checkpoint)
         assert resumed.stats.steps == 45
         assert resumed.incumbent.objective <= cut.incumbent.objective
 
     def test_descent_resume_after_evaluation_cut(self, spec):
         """A budget-cut descent continues to the same local optimum."""
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             start = start_of(spec, evaluator)
             full = SearchLoop(
                 NeighbourhoodProposer(), GreedyAcceptor(), None
             ).run(spec, evaluator, start=start)
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             start = start_of(spec, evaluator)
             cut = SearchLoop(
                 NeighbourhoodProposer(),
@@ -116,12 +116,12 @@ class TestResume:
         the cut prefix from the database and lands byte-identical to an
         uninterrupted run."""
         path = str(tmp_path / "resume.sqlite")
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             start = start_of(spec, evaluator)
             straight = walk_loop(100).run(
                 spec, evaluator, start=start, rng=np.random.default_rng(42)
             )
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, cache_store="sqlite", cache_path=path
         ) as evaluator:
             start = start_of(spec, evaluator)
@@ -132,7 +132,7 @@ class TestResume:
             wire = cut.checkpoint.to_json()
         # The resuming evaluator is brand new -- only the database file
         # survives, exactly like a process restart.
-        with DesignEvaluator(
+        with EvaluationEngine(
             spec, cache_store="sqlite", cache_path=path
         ) as fresh:
             resumed = walk_loop(100).resume(
@@ -159,7 +159,7 @@ class TestResume:
             spec, evaluator, start=start, rng=np.random.default_rng(3)
         )
         other = small_scenario(seed=8).spec()
-        with DesignEvaluator(other) as fresh:
+        with EvaluationEngine(other) as fresh:
             with pytest.raises((MappingError, ValueError, KeyError)):
                 walk_loop(20).resume(other, fresh, cut.checkpoint)
 
@@ -193,7 +193,7 @@ class TestRestoreRng:
 
 def cut_sa_at(spec, cut_at: int) -> MemberCheckpoint:
     """Steal-cut an SA pipeline at its ``cut_at``-th move request."""
-    with DesignEvaluator(spec) as evaluator:
+    with EvaluationEngine(spec) as evaluator:
         program = SimulatedAnnealing(iterations=60, seed=7).search_program(
             spec, evaluator.compiled
         )

@@ -13,7 +13,7 @@ from searchutil import small_scenario
 from repro.core.adhoc import AdHocStrategy
 from repro.core.mapping_heuristic import MappingHeuristic
 from repro.core.simulated_annealing import SimulatedAnnealing
-from repro.core.strategy import DesignEvaluator
+from repro.engine import EvaluationEngine
 from repro.search.budget import Budget, StealRequested
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused
 from repro.search.distributed import DistributedPortfolioRunner
@@ -59,14 +59,14 @@ def event_kinds(result) -> dict:
 # in-process pause/resume protocol (no worker processes)
 # ----------------------------------------------------------------------
 def run_uncut(strategy, spec):
-    with DesignEvaluator(spec) as evaluator:
+    with EvaluationEngine(spec) as evaluator:
         return drive(strategy.search_program(spec, evaluator.compiled), evaluator)
 
 
 def run_cut_at(strategy, spec, cut_at: int):
     """Steal at the ``cut_at``-th move request, reship as JSON, resume."""
     checkpoint = None
-    with DesignEvaluator(spec) as evaluator:
+    with EvaluationEngine(spec) as evaluator:
         program = strategy.search_program(spec, evaluator.compiled)
         request = next(program)
         moves_seen = 0
@@ -83,7 +83,7 @@ def run_cut_at(strategy, spec, cut_at: int):
         except MemberPaused as pause:
             checkpoint = pause.checkpoint
     wire = MemberCheckpoint.from_json(checkpoint.to_json())
-    with DesignEvaluator(spec) as fresh:
+    with EvaluationEngine(spec) as fresh:
         result = drive(
             strategy.search_program(spec, fresh.compiled, resume=wire), fresh
         )
@@ -118,7 +118,7 @@ class TestPauseResume:
         assert design_stats_key(result) == design_stats_key(reference)
 
     def test_checkpoint_reports_strategy_and_phase(self, spec):
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             program = sa().search_program(spec, evaluator.compiled)
             request = next(program)
             with pytest.raises(MemberPaused) as caught:

@@ -9,10 +9,10 @@ full design identity -- mapping, priorities, message delays, objective
 reproduce every cell exactly; any intentional change to search
 behavior must regenerate the goldens and say so in the diff.
 
-The delta-on/off and jobs equivalence for every family is covered by
+The cache-off and delta-off equivalence for every family is covered by
 ``run_family_smoke`` (the CI `scenarios smoke` gate); here one family
-re-checks both axes against the golden record itself so the tier-1
-suite alone pins the full contract end-to-end.
+re-checks the delta-off axis against the golden record itself so the
+tier-1 suite alone pins the full contract end-to-end.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 STRATEGIES = ("AH", "MH", "SA")
 
 #: The family whose golden cell is additionally re-checked with the
-#: delta kernel off and with two evaluation workers.
+#: delta kernel off.
 CROSS_MODE_FAMILY = "uniform-baseline"
 
 
@@ -78,9 +78,8 @@ def test_matches_pre_refactor_design(specs, family_name, strategy):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize(
-    "label,jobs,use_delta", [("delta-off", 1, False), ("jobs-2", 2, True)]
-)
+# ``jobs`` is strategy_for_family's positional slot, which accepts only 1.
+@pytest.mark.parametrize("label,jobs,use_delta", [("delta-off", 1, False)])
 def test_golden_holds_across_engine_modes(
     specs, strategy, label, jobs, use_delta
 ):

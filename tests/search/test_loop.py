@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from searchutil import identity, small_scenario, start_of
 
-from repro.core.strategy import DesignEvaluator
+from repro.engine import EvaluationEngine
 from repro.search.acceptors import (
     AcceptAny,
     GreedyAcceptor,
@@ -171,12 +171,12 @@ class TestLegacyEquivalence:
         scenario = small_scenario(seed=3)
         spec = scenario.spec()
         pool_size = 4 + seed % 5
-        with DesignEvaluator(spec) as legacy_eval:
+        with EvaluationEngine(spec) as legacy_eval:
             start = start_of(spec, legacy_eval)
             legacy = legacy_steepest_descent(
                 spec, legacy_eval, start, pool_size=pool_size, max_iterations=8
             )
-        with DesignEvaluator(spec) as kernel_eval:
+        with EvaluationEngine(spec) as kernel_eval:
             start = start_of(spec, kernel_eval)
             outcome = SearchLoop(
                 NeighbourhoodProposer(pool_size=pool_size),
@@ -194,7 +194,7 @@ class TestLegacyEquivalence:
     def test_metropolis_walk_matches_legacy(self, seed):
         scenario = small_scenario(seed=3)
         spec = scenario.spec()
-        with DesignEvaluator(spec) as legacy_eval:
+        with EvaluationEngine(spec) as legacy_eval:
             start = start_of(spec, legacy_eval)
             legacy_best, legacy_current, legacy_temp, legacy_rng = (
                 legacy_sa_walk(
@@ -205,7 +205,7 @@ class TestLegacyEquivalence:
                     iterations=60,
                 )
             )
-        with DesignEvaluator(spec) as kernel_eval:
+        with EvaluationEngine(spec) as kernel_eval:
             start = start_of(spec, kernel_eval)
             kernel_best, kernel_current, kernel_temp, kernel_rng = (
                 kernel_sa_walk(
@@ -274,7 +274,7 @@ class TestBudgetLaws:
         scenario = small_scenario(seed=3)
         spec = scenario.spec()
         objectives = []
-        with DesignEvaluator(spec) as evaluator:
+        with EvaluationEngine(spec) as evaluator:
             start = start_of(spec, evaluator)
             for max_steps in sorted(budgets):
                 outcome = SearchLoop(

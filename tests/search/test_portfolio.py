@@ -73,13 +73,6 @@ class TestDeterminism:
         assert design_identity(again.best) == design_identity(race.best)
         assert again.evaluations == race.evaluations
 
-    def test_jobs_do_not_change_the_race(self, spec, race):
-        parallel = run_portfolio(
-            spec, ("AH", "MH", "SA"), seed=1, sa_iterations=SA_ITERS, jobs=2
-        )
-        assert design_identity(parallel.best) == design_identity(race.best)
-        assert parallel.evaluations == race.evaluations
-
     def test_delta_off_does_not_change_the_race(self, spec, race):
         cold = run_portfolio(
             spec,
@@ -142,6 +135,23 @@ class TestRunnerValidation:
     def test_empty_portfolio_rejected(self):
         with pytest.raises(ValueError):
             PortfolioRunner([])
+
+    def test_strategy_for_family_rejects_jobs(self):
+        """The positional ``jobs`` slot accepts only 1; parallelism is
+        the sharded race."""
+        with pytest.raises(ValueError, match="--shards"):
+            strategy_for_family("MH", 1, True, 2, SA_ITERS)
+
+    @pytest.mark.parametrize("name", ["XX", "SA@0", "MH@1", "SA@", "SA@x"])
+    def test_strategy_for_family_rejects_unknown_names(self, name):
+        with pytest.raises(ValueError, match="choose from AH, MH, SA"):
+            strategy_for_family(name, 1, True, 1, SA_ITERS)
+
+    def test_sa_variant_named_and_reseeded(self):
+        base = strategy_for_family("SA", 1, True, 1, SA_ITERS)
+        variant = strategy_for_family("sa@2", 1, True, 1, SA_ITERS)
+        assert variant.name == "SA@2"
+        assert variant.seed == base.seed + 2 * 101
 
 
 class TestWinnerTieBreak:
