@@ -6,9 +6,9 @@ Initial-Mapping design is evaluated three ways:
 * **delta** -- through :class:`repro.engine.delta.DeltaEvaluator`:
   each child is rescheduled by the array kernel from the parent's
   column-trace checkpoints and priced by the compiled metric kernel;
-* **cold** -- the engine's full evaluation (what ``--no-delta``
-  runs): the array pass from scratch plus the same pricing, per
-  candidate;
+* **cold** -- the engine's full evaluation (what every search move
+  runs): the compiled pass over a fresh state block plus the same
+  pricing, per candidate;
 * **scratch** -- the object kernel, the tests' oracle: the object list
   scheduler plus the original from-scratch component metrics
   (``metric_c1p``/``metric_c1m``/``metric_c2p``/``metric_c2m``), i.e.
@@ -140,10 +140,7 @@ def _speedup_info(family_name):
         lambda move: delta.evaluate_move(parent, move, children[move]), moves
     )
     median_cold = _per_candidate(
-        lambda move: evaluate_candidate(
-            compiled, children[move], record_trace=True
-        ),
-        moves,
+        lambda move: evaluate_candidate(compiled, children[move]), moves
     )
     median_scratch = _per_candidate(
         lambda move: _scratch_evaluate(

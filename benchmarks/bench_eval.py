@@ -3,12 +3,15 @@
 Per uniform-baseline preset (tiny/small/medium), one MH-style
 neighbourhood of the Initial-Mapping design is *fully evaluated* --
 scheduling pass plus metric pricing, the complete per-candidate cost a
-search loop pays -- three ways:
+search loop pays -- four ways:
 
 * **array** -- :func:`repro.engine.evaluation.evaluate_candidate`, the
-  runtime path: columnless structure-of-arrays pass, metrics priced
-  directly on the state's columns (:mod:`repro.core.array_metrics`),
-  **no** object-schedule decode;
+  runtime path (what every search move runs): the compiled pass over
+  one state block, priced in place by the compiled pricing kernel
+  (:mod:`repro.core.array_metrics`), **no** object-schedule decode;
+* **python** -- the same evaluation on the pure-Python kernels (the
+  list-kernel pass and :func:`~repro.core.array_metrics.price_counts_python`):
+  what the runtime runs without the extension;
 * **object** -- the object kernel the tests use as the oracle, called
   directly: ``ListScheduler.try_schedule`` over the compiled job table
   plus :func:`repro.core.metrics.evaluate_design`;
@@ -18,22 +21,24 @@ search loop pays -- three ways:
 
 The headline number is the per-candidate median speedup of the array
 path over decode-always on the medium preset -- the end-to-end gain of
-keeping evaluation inside the flat representation.  The medium
+keeping evaluation inside the flat representation; array over python
+is what the compiled kernels buy.  The medium
 benchmark asserts ``MIN_EVAL_SPEEDUP`` even under
 ``--benchmark-disable``, so the CI smoke run catches an evaluation
 path that silently loses its edge.
 
 A second comparison times the two integer cores of the metric kernel
 on every family's medium preset: the compiled pricing kernel
-(:mod:`repro.core.price_kernel`, via
-:func:`repro.core.array_metrics.price_counts`) next to the pure-Python
-kernel it replaced (:func:`~repro.core.array_metrics.price_counts_python`),
-per finished state of one MH neighbourhood.  Both must return the same
-four integers on every state.
+(``price_state`` of :mod:`repro.sched.ckernel`, via
+:func:`repro.core.array_metrics.price_counts`, reading the block in
+place) next to the pure-Python kernel it replaced
+(:func:`~repro.core.array_metrics.price_counts_python`), per finished
+state of one MH neighbourhood.  Both must return the same four
+integers on every state.
 
 Results land in the repo-root ``BENCH_eval.json`` (see conftest), with
 the core count, the Python/numpy/cffi versions and whether the compiled
-kernel loaded.
+kernel loaded, in the file and in each row.
 
 Run:  pytest benchmarks/bench_eval.py --benchmark-only
 """
@@ -45,7 +50,7 @@ import time
 
 import pytest
 
-from repro.core import price_kernel
+from repro.core import array_metrics
 from repro.core.array_metrics import price_counts, price_counts_python
 from repro.core.improvement import DescentParams, generate_moves
 from repro.core.initial_mapping import InitialMapper
@@ -53,6 +58,7 @@ from repro.core.metrics import evaluate_design
 from repro.core.transformations import CandidateDesign
 from repro.engine import CompiledSpec, evaluate_candidate
 from repro.gen import families
+from repro.sched import ckernel
 from repro.sched.list_scheduler import ListScheduler
 
 #: Uniform-baseline presets benchmarked, smallest to largest.
@@ -105,6 +111,18 @@ def _evaluate_array(compiled, child):
     return evaluate_candidate(compiled, child)
 
 
+def _evaluate_python(spec, arrays, child):
+    child.mapping.validate_complete()
+    state = arrays.fresh_state(arrays.lower_candidate(child), record=False)
+    arrays.run_kernel(state)
+    if not state.success:
+        return None
+    counts = price_counts_python(arrays, state, spec.future)
+    return array_metrics.mix_counts(
+        counts, spec.future, arrays.horizon, spec.weights
+    )
+
+
 def _evaluate_object(spec, compiled, scheduler, child):
     result = scheduler.try_schedule(
         spec.current,
@@ -155,6 +173,9 @@ def _speedup_info(preset: str):
         lambda child: _evaluate_array(compiled, child),
         children,
     )
+    median_python = _per_candidate(
+        lambda child: _evaluate_python(spec, arrays, child), children
+    )
     median_object = _per_candidate(
         lambda child: _evaluate_object(spec, compiled, scheduler, child),
         children,
@@ -165,17 +186,24 @@ def _speedup_info(preset: str):
     return {
         "n_candidates": len(children),
         "median_array_us": round(median_array * 1e6, 1),
+        "median_python_us": round(median_python * 1e6, 1),
         "median_object_us": round(median_object * 1e6, 1),
         "median_decode_always_us": round(median_decode * 1e6, 1),
+        "speedup_vs_python": round(median_python / median_array, 2),
         "speedup_vs_object": round(median_object / median_array, 2),
         "speedup_vs_decode_always": round(median_decode / median_array, 2),
     }
 
 
 @pytest.mark.parametrize("preset", BENCH_PRESETS)
-def test_array_evaluation(benchmark, preset):
+def test_array_evaluation(benchmark, environment, preset):
     """The array evaluation path over one neighbourhood, end to end."""
     spec, compiled, arrays, scheduler, children = _context(preset)
+    for child in children:
+        outcome = _evaluate_array(compiled, child)
+        python = _evaluate_python(spec, arrays, child)
+        assert (outcome is None) == (python is None)
+        assert outcome is None or outcome.metrics == python
 
     def run():
         ok = 0
@@ -185,6 +213,7 @@ def test_array_evaluation(benchmark, preset):
 
     benchmark(run)
     info = _speedup_info(preset)
+    benchmark.extra_info.update(environment)
     benchmark.extra_info["eval_record"] = "array"
     benchmark.extra_info["preset"] = preset
     benchmark.extra_info["scenario_jobs"] = compiled.total_jobs
@@ -198,7 +227,7 @@ def test_array_evaluation(benchmark, preset):
 
 
 @pytest.mark.parametrize("preset", BENCH_PRESETS)
-def test_object_evaluation(benchmark, preset):
+def test_object_evaluation(benchmark, environment, preset):
     """The same neighbourhood through the object kernel (the oracle)."""
     spec, compiled, arrays, scheduler, children = _context(preset)
 
@@ -207,13 +236,14 @@ def test_object_evaluation(benchmark, preset):
             _evaluate_object(spec, compiled, scheduler, child)
 
     benchmark(run)
+    benchmark.extra_info.update(environment)
     benchmark.extra_info["eval_record"] = "object"
     benchmark.extra_info["preset"] = preset
     benchmark.extra_info["scenario_jobs"] = compiled.total_jobs
 
 
 @pytest.mark.parametrize("preset", BENCH_PRESETS)
-def test_decode_always_evaluation(benchmark, preset):
+def test_decode_always_evaluation(benchmark, environment, preset):
     """The pre-array-metrics shape: decode + object metrics per candidate."""
     spec, compiled, arrays, scheduler, children = _context(preset)
 
@@ -222,13 +252,14 @@ def test_decode_always_evaluation(benchmark, preset):
             _evaluate_decode_always(spec, arrays, child)
 
     benchmark(run)
+    benchmark.extra_info.update(environment)
     benchmark.extra_info["eval_record"] = "decode-always"
     benchmark.extra_info["preset"] = preset
     benchmark.extra_info["scenario_jobs"] = compiled.total_jobs
 
 
 @pytest.mark.parametrize("family_name", PRICING_FAMILIES)
-def test_pricing_kernels(benchmark, family_name):
+def test_pricing_kernels(benchmark, environment, family_name):
     """Compiled vs pure-Python integer core over finished states."""
     spec, _, arrays, _, children = _context("medium", family_name)
     future = spec.future
@@ -247,11 +278,12 @@ def test_pricing_kernels(benchmark, family_name):
             price_counts(arrays, state, future)
 
     benchmark(run)
-    loaded = price_kernel.KERNEL is not None
+    loaded = ckernel.KERNEL is not None
     median_python = _per_candidate(
         lambda state: price_counts_python(arrays, state, future), states
     )
     info = {
+        **environment,
         "eval_record": "pricing",
         "family": family_name,
         "preset": "medium",

@@ -1,13 +1,15 @@
 """Benchmarks pinning the array scheduler core's speedup.
 
 Per uniform-baseline preset (tiny/small/medium), one MH-style
-neighbourhood of the Initial-Mapping design is *scheduled* three ways
+neighbourhood of the Initial-Mapping design is *scheduled* four ways
 -- scheduling only, no metrics, so pricing does not dilute the
 comparison (Amdahl):
 
-* **array** -- :meth:`repro.sched.arrays.ArraySpec.schedule_design`:
-  the structure-of-arrays kernel with integer heap keys and column
-  traces (the runtime scheduler);
+* **array** -- :meth:`repro.sched.arrays.ArraySpec.schedule_design`,
+  the runtime path: lowering plus the compiled pass over one state
+  block (the Python list kernel when the extension is not built);
+* **python** -- the same lowering plus the Python list kernel without
+  trace columns: what the runtime runs without the extension;
 * **object** -- ``ListScheduler.try_schedule`` against the compiled
   spec with trace recording (the object kernel the tests use as the
   oracle, called directly);
@@ -16,12 +18,14 @@ comparison (Amdahl):
   pre-``CompiledSpec`` evaluation shape).
 
 The headline number is the per-candidate median speedup of the array
-kernel over the object kernel on the medium preset; array over scratch
-shows the full distance from the naive shape.  The medium benchmark
-asserts ``MIN_ARRAY_SPEEDUP`` even under ``--benchmark-disable``, so
-the CI smoke run catches a kernel that silently loses its edge.
+kernel over the object kernel on the medium preset; array over python
+is what the compiled pass buys, and array over scratch shows the full
+distance from the naive shape.  The medium benchmark asserts
+``MIN_ARRAY_SPEEDUP`` even under ``--benchmark-disable``, so the CI
+smoke run catches a kernel that silently loses its edge.
 
-Results land in the repo-root ``BENCH_sched.json`` (see conftest).
+Results land in the repo-root ``BENCH_sched.json`` (see conftest), with
+the core count and the Python and numpy versions in each row.
 
 Run:  pytest benchmarks/bench_sched.py --benchmark-only
 """
@@ -78,7 +82,14 @@ def _context(preset: str):
 
 
 def _schedule_array(arrays, child):
-    return arrays.schedule_design(child, record=True)
+    return arrays.schedule_design(child)
+
+
+def _schedule_python(arrays, child):
+    child.mapping.validate_complete()
+    state = arrays.fresh_state(arrays.lower_candidate(child), record=False)
+    arrays.run_kernel(state)
+    return state
 
 
 def _schedule_object(spec, compiled, scheduler, child):
@@ -124,6 +135,9 @@ def _speedup_info(preset: str):
     median_array = _per_candidate(
         lambda child: _schedule_array(arrays, child), children
     )
+    median_python = _per_candidate(
+        lambda child: _schedule_python(arrays, child), children
+    )
     median_object = _per_candidate(
         lambda child: _schedule_object(spec, compiled, scheduler, child),
         children,
@@ -134,26 +148,34 @@ def _speedup_info(preset: str):
     return {
         "n_candidates": len(children),
         "median_array_us": round(median_array * 1e6, 1),
+        "median_python_us": round(median_python * 1e6, 1),
         "median_object_us": round(median_object * 1e6, 1),
         "median_scratch_us": round(median_scratch * 1e6, 1),
+        "speedup_vs_python": round(median_python / median_array, 2),
         "speedup_vs_object": round(median_object / median_array, 2),
         "speedup_vs_scratch": round(median_scratch / median_array, 2),
     }
 
 
 @pytest.mark.parametrize("preset", BENCH_PRESETS)
-def test_array_kernel(benchmark, preset):
-    """The array kernel over one neighbourhood, traced per candidate."""
+def test_array_kernel(benchmark, environment, preset):
+    """The runtime scheduling path over one neighbourhood."""
     spec, compiled, arrays, scheduler, children = _context(preset)
+    for child in children:
+        compiled_state = _schedule_array(arrays, child)
+        python_state = _schedule_python(arrays, child)
+        assert compiled_state.success == python_state.success
+        assert compiled_state.runs_s == python_state.runs_s
 
     def run():
         ok = 0
         for child in children:
-            ok += arrays.schedule_design(child, record=True).success
+            ok += _schedule_array(arrays, child).success
         return ok
 
     benchmark(run)
     info = _speedup_info(preset)
+    benchmark.extra_info.update(environment)
     benchmark.extra_info["sched_record"] = "array"
     benchmark.extra_info["preset"] = preset
     benchmark.extra_info["scenario_jobs"] = compiled.total_jobs
@@ -166,7 +188,7 @@ def test_array_kernel(benchmark, preset):
 
 
 @pytest.mark.parametrize("preset", BENCH_PRESETS)
-def test_object_kernel(benchmark, preset):
+def test_object_kernel(benchmark, environment, preset):
     """The same neighbourhood through the pinned object kernel."""
     spec, compiled, arrays, scheduler, children = _context(preset)
 
@@ -175,13 +197,14 @@ def test_object_kernel(benchmark, preset):
             _schedule_object(spec, compiled, scheduler, child)
 
     benchmark(run)
+    benchmark.extra_info.update(environment)
     benchmark.extra_info["sched_record"] = "object"
     benchmark.extra_info["preset"] = preset
     benchmark.extra_info["scenario_jobs"] = compiled.total_jobs
 
 
 @pytest.mark.parametrize("preset", BENCH_PRESETS)
-def test_scratch_kernel(benchmark, preset):
+def test_scratch_kernel(benchmark, environment, preset):
     """The pre-compilation shape: job table rebuilt per candidate."""
     spec, compiled, arrays, scheduler, children = _context(preset)
 
@@ -190,6 +213,7 @@ def test_scratch_kernel(benchmark, preset):
             _schedule_scratch(spec, scheduler, child)
 
     benchmark(run)
+    benchmark.extra_info.update(environment)
     benchmark.extra_info["sched_record"] = "scratch"
     benchmark.extra_info["preset"] = preset
     benchmark.extra_info["scenario_jobs"] = compiled.total_jobs

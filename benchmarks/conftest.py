@@ -70,7 +70,7 @@ def _environment() -> dict:
     """What the numbers were measured on (ratios shift between machines)."""
     import numpy
 
-    from repro.core import price_kernel
+    from repro.sched import ckernel
 
     try:
         import cffi
@@ -83,8 +83,14 @@ def _environment() -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cffi": cffi_version,
-        "compiled_pricing_kernel": price_kernel.KERNEL is not None,
+        "compiled_kernel": ckernel.KERNEL is not None,
     }
+
+
+@pytest.fixture(scope="session")
+def environment() -> dict:
+    """:func:`_environment`, for a benchmark's ``extra_info``."""
+    return _environment()
 
 
 def _write_results(path: Path, results, extra=None) -> None:
@@ -149,6 +155,8 @@ def _sched_summary(rows) -> dict:
             return {
                 "summary": {
                     "medium_median_array_us": info.get("median_array_us"),
+                    "medium_median_python_us": info.get("median_python_us"),
+                    "medium_speedup_vs_python": info.get("speedup_vs_python"),
                     "medium_median_object_us": info.get("median_object_us"),
                     "medium_median_scratch_us": info.get("median_scratch_us"),
                     "medium_speedup_vs_object": info.get("speedup_vs_object"),
@@ -177,6 +185,8 @@ def _eval_summary(rows) -> dict:
             return {
                 "summary": {
                     "medium_median_array_us": info.get("median_array_us"),
+                    "medium_median_python_us": info.get("median_python_us"),
+                    "medium_speedup_vs_python": info.get("speedup_vs_python"),
                     "medium_median_object_us": info.get("median_object_us"),
                     "medium_median_decode_always_us": info.get(
                         "median_decode_always_us"

@@ -19,6 +19,9 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 reproduced tables and figures.
 """
 
+# First: load (on a fresh checkout, build) the compiled evaluation
+# kernel before the heavy imports below; see repro.sched.ckernel.
+from repro.sched import ckernel  # noqa: F401
 from repro.core import (
     AdHocStrategy,
     DesignMetrics,

@@ -18,13 +18,11 @@ Layers:
 * :mod:`~repro.core.simulated_annealing` -- the SA reference.
 * :mod:`~repro.core.strategy` -- the end-to-end design flow and the
   future-application fit check used by the third experiment.
-* :mod:`~repro.core.price_kernel` -- loader of the compiled integer
-  core of the metrics (:mod:`~repro.core.array_metrics` prices with it).
+* :mod:`~repro.core.array_metrics` -- the metrics over the array
+  scheduler's state blocks, priced by the compiled kernel of
+  :mod:`repro.sched.ckernel` when it is loaded.
 """
 
-# First: load (on a fresh checkout, build) the compiled pricing kernel
-# before the heavy imports below; see repro.core.price_kernel.
-from repro.core import price_kernel
 from repro.core.future import DiscreteDistribution, FutureCharacterization
 from repro.core.binpack import PackResult, best_fit, first_fit, worst_fit
 from repro.core.metrics import (

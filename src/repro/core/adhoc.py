@@ -27,15 +27,14 @@ from repro.search.budget import Budget
 class AdHocStrategy:
     """Validity-only design: Initial Mapping with no optimization.
 
-    ``use_cache``, ``use_delta``, ``cache_store``/
-    ``cache_path`` and ``budget`` exist so every strategy shares one
+    ``use_cache``, ``cache_store``/``cache_path`` and ``budget``
+    exist so every strategy shares one
     construction signature (the experiment runner passes them
     uniformly); AH performs a single evaluation, so none of them
     changes its behavior.
     """
 
     use_cache: bool = True
-    use_delta: bool = True
     cache_store: str = "memory"
     cache_path: Optional[str] = None
     budget: Optional[Budget] = None
@@ -48,7 +47,7 @@ class AdHocStrategy:
     @timed
     def design(self, spec: DesignSpec) -> DesignResult:
         """Run IM once and report its design as-is."""
-        with EvaluationEngine(spec, use_cache=False, use_delta=False) as engine:
+        with EvaluationEngine(spec, use_cache=False) as engine:
             return self._design(spec, engine.compiled)
 
     def _design(self, spec: DesignSpec, compiled) -> DesignResult:

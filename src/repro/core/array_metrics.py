@@ -1,18 +1,21 @@
 """Array-native metric kernel: the slide-14 objective on SoA columns.
 
-The structure-of-arrays scheduler core finishes a candidate as an
-:class:`~repro.sched.arrays.ArrayRunState` -- per-node sorted busy-run
-columns plus one flat used-bytes vector over the TDMA slot
-occurrences.  This module prices that state directly, in two halves:
+The structure-of-arrays scheduler core finishes a candidate as a
+state -- per-node sorted busy-run columns plus one flat used-bytes
+vector over the TDMA slot occurrences, either inside the compiled
+pass's state block (:class:`~repro.sched.arrays.ArrayBlockState`) or
+as Python lists (:class:`~repro.sched.arrays.ArrayRunState`).  This
+module prices that state directly, in two halves:
 
 * **The integer core** reduces the state to four integers: the
   unplaced future-process total (best fit into the node slack gaps),
   C2P (the sum over nodes of the minimum per-``T_min``-window slack),
   the unplaced future-message total (best fit into the slot
   residuals) and C2M (the minimum per-window free bus bytes).  It runs
-  in C (:mod:`repro.core.price_kernel`) when the extension is
-  available, and otherwise in :func:`price_counts_python`, the
-  pure-Python kernel that also serves as the test oracle.
+  in C (``price_state`` of :mod:`repro.sched.ckernel`, reading the
+  block in place; a list state is packed into a block first) when the
+  extension is available, and otherwise in :func:`price_counts_python`,
+  the pure-Python kernel that also serves as the test oracle.
 * **The float mixing** (:func:`mix_counts`) turns the four integers
   into :class:`~repro.core.metrics.DesignMetrics` with the object
   kernel's exact expressions, in the same order.
@@ -35,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import price_kernel
 from repro.core.binpack import POLICIES, best_fit_unplaced_total_hist
 from repro.core.future import FutureCharacterization
 from repro.core.metrics import (
@@ -43,7 +45,13 @@ from repro.core.metrics import (
     ObjectiveWeights,
     _packing_inputs,
 )
-from repro.sched.arrays import ArrayMetricGeometry, ArrayRunState, ArraySpec
+from repro.sched import ckernel
+from repro.sched.arrays import (
+    ArrayBlockState,
+    ArrayMetricGeometry,
+    ArraySpec,
+    RunState,
+)
 
 #: ``(unplaced process total, C2P, unplaced message total, C2M)``.
 PriceCounts = Tuple[int, int, int, int]
@@ -90,7 +98,7 @@ def _packing_runs(
 
 def price_counts_python(
     arrays: ArraySpec,
-    state: ArrayRunState,
+    state: RunState,
     future: FutureCharacterization,
     policy: str = "best-fit",
 ) -> PriceCounts:
@@ -190,15 +198,15 @@ def price_counts_python(
 @lru_cache(maxsize=32)
 def _price_context(
     geom: ArrayMetricGeometry, future: FutureCharacterization
-) -> price_kernel.PriceContext:
+) -> ckernel.PriceContext:
     """The compiled kernel's inputs for one ``(geometry, future)`` pair."""
-    kernel = price_kernel.KERNEL
+    kernel = ckernel.KERNEL
     assert kernel is not None
     (
         _, process_runs, _, process_min,
         _, message_runs, _, message_min,
     ) = _packing_runs(future, geom.horizon)
-    return price_kernel.PriceContext(
+    return ckernel.PriceContext(
         kernel,
         geom,
         process_runs,
@@ -210,15 +218,21 @@ def _price_context(
 
 def price_counts(
     arrays: ArraySpec,
-    state: ArrayRunState,
+    state: RunState,
     future: FutureCharacterization,
     policy: str = "best-fit",
 ) -> PriceCounts:
-    """The integer core: compiled for best fit when loaded, else Python."""
-    if policy != "best-fit" or price_kernel.KERNEL is None:
+    """The integer core: compiled for best fit when loaded, else Python.
+
+    The compiled kernel reads a block state in place; a list state is
+    packed into a block first.
+    """
+    if policy != "best-fit" or ckernel.KERNEL is None:
         return price_counts_python(arrays, state, future, policy)
     context = _price_context(arrays.metric_geometry(future.t_min), future)
-    return context.price(state)
+    if isinstance(state, ArrayBlockState):
+        return context.price(state.block)
+    return context.price(arrays.pack_block(state))
 
 
 def mix_counts(
@@ -259,7 +273,7 @@ def mix_counts(
 
 def evaluate_state(
     arrays: ArraySpec,
-    state: ArrayRunState,
+    state: RunState,
     future: FutureCharacterization,
     weights: Optional[ObjectiveWeights] = None,
 ) -> DesignMetrics:
@@ -272,7 +286,7 @@ def evaluate_state(
 
 def evaluate_state_delta(
     arrays: ArraySpec,
-    state: ArrayRunState,
+    state: RunState,
     future: FutureCharacterization,
     weights: Optional[ObjectiveWeights] = None,
 ) -> Tuple[DesignMetrics, None]:

@@ -75,10 +75,9 @@ def best_improving_move(
 
     The whole neighbourhood is scored in one :meth:`evaluate_moves`
     batch against the shared parent ``best`` -- cached outcomes are
-    served directly, the remainder is rescheduled incrementally from
-    the parent's checkpoints (or cold with ``--no-delta``).  The winner
-    scan walks the results in move order, so cached, uncached and
-    delta runs pick the identical move.
+    served directly, the remainder is evaluated cold.  The winner scan
+    walks the results in move order, so cached and uncached runs pick
+    the identical move.
     """
     if not moves:
         return None

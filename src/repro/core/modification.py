@@ -108,7 +108,6 @@ def design_with_modifications(
     strategy: str = "MH",
     horizon: Optional[int] = None,
     max_modified: Optional[int] = None,
-    use_delta: bool = True,
     cache_store: str = "memory",
     cache_path: Optional[str] = None,
     budget: Optional[Budget] = None,
@@ -138,12 +137,6 @@ def design_with_modifications(
     max_modified:
         Upper bound on how many existing applications may be modified
         (``None`` = all of them, i.e. full redesign as last resort).
-    use_delta:
-        Incremental (move-aware) evaluation inside each subset
-        attempt's strategy run; the movable application only grows
-        with ``k``, so the delta kernel's checkpoint resumes pay off
-        more the deeper the greedy search goes.  Results are identical
-        with it off.
     cache_store / cache_path:
         Result-store backend of every subset attempt's evaluation
         engine (``"memory"`` or ``"sqlite"`` at ``cache_path``); the
@@ -175,7 +168,6 @@ def design_with_modifications(
         horizon = hyperperiod(periods)
     if max_modified is None:
         max_modified = len(existing)
-    strategy_kwargs.setdefault("use_delta", use_delta)
     strategy_kwargs.setdefault("cache_store", cache_store)
     strategy_kwargs.setdefault("cache_path", cache_path)
     if budget is not None:

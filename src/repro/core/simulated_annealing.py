@@ -84,11 +84,6 @@ class SimulatedAnnealing:
         rejected design points constantly, so hit rates are high.
     max_cache_entries:
         LRU bound of the engine's cache (``None`` = unbounded).
-    use_delta:
-        Serve each proposed move through the incremental evaluation
-        kernel (reschedule from the current state's checkpoints); the
-        walk threads the accepted state as the parent of the next
-        proposal.  Results are identical with it off.
     budget:
         Optional external search budget, combined (``&``) into *each*
         phase's own cap (probe, walk, each polish descent) -- e.g.
@@ -106,7 +101,6 @@ class SimulatedAnnealing:
     polish: bool = True
     use_cache: bool = True
     max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES
-    use_delta: bool = True
     cache_store: str = "memory"
     cache_path: Optional[str] = None
     budget: Optional[Budget] = None
@@ -124,7 +118,6 @@ class SimulatedAnnealing:
             spec,
             use_cache=self.use_cache,
             max_cache_entries=self.max_cache_entries,
-            use_delta=self.use_delta,
             cache_store=self.cache_store,
             cache_path=self.cache_path,
         ) as engine:

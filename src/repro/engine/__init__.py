@@ -1,4 +1,4 @@
-"""Shared evaluation engine: compiled specs, caching, delta evaluation.
+"""Shared evaluation engine: compiled specs, caching, candidate solving.
 
 This package separates problem *construction* from repeated *solving*:
 
@@ -16,7 +16,8 @@ This package separates problem *construction* from repeated *solving*:
   across processes and runs;
 * :mod:`~repro.engine.delta` -- :class:`DeltaEvaluator`, the move-aware
   incremental kernel: reschedule a one-move child from its parent's
-  trace checkpoints, bit-identical to a cold evaluation;
+  trace checkpoints, bit-identical to a cold evaluation (library code:
+  the engine evaluates moves cold);
 * :mod:`~repro.engine.engine` -- :class:`EvaluationEngine`, composing
   the above; every strategy's inner loop.
 
@@ -26,7 +27,7 @@ engine contracts.
 
 from repro.engine.cache import CacheStats, EvaluationCache
 from repro.engine.compiled_spec import CompiledSpec
-from repro.engine.delta import DeltaEvaluator, DeltaStats
+from repro.engine.delta import DeltaEvaluator
 from repro.engine.engine import EngineCounters, EvaluationEngine
 from repro.engine.evaluation import EvaluatedDesign, evaluate_candidate
 from repro.engine.store import (
@@ -41,7 +42,6 @@ __all__ = [
     "CacheStats",
     "CompiledSpec",
     "DeltaEvaluator",
-    "DeltaStats",
     "EngineCounters",
     "EvaluatedDesign",
     "EvaluationCache",

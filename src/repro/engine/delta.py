@@ -37,7 +37,6 @@ the evaluator *falls back to a full cold evaluation*; it never guesses.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.engine.evaluation import (
@@ -50,33 +49,6 @@ from repro.sched.arrays import ArrayRunState
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.transformations import CandidateDesign, Transformation
     from repro.engine.compiled_spec import CompiledSpec
-
-
-@dataclass(frozen=True)
-class DeltaStats:
-    """Delta-path accounting of one engine over its lifetime.
-
-    ``hits`` counts move evaluations served by the incremental path;
-    ``fallbacks`` counts moves that were requested through the delta
-    API but fell back to a full evaluation (no usable trace, unknown
-    move type, or divergence at event 0).  Mirrors
-    :class:`repro.engine.cache.CacheStats` so the experiment reports
-    render both the same way.
-    """
-
-    hits: int
-    fallbacks: int
-
-    @property
-    def attempts(self) -> int:
-        return self.hits + self.fallbacks
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of delta attempts served incrementally (0.0 unused)."""
-        if self.attempts == 0:
-            return 0.0
-        return self.hits / self.attempts
 
 
 class DeltaEvaluator:

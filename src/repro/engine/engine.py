@@ -4,15 +4,16 @@
 It owns
 
 * a :class:`~repro.engine.compiled_spec.CompiledSpec` (problem
-  construction, done once),
+  construction, done once), and
 * an optional :class:`~repro.engine.cache.EvaluationCache` (memoized
-  solving), and
-* an optional :class:`~repro.engine.delta.DeltaEvaluator` (incremental
-  solving of one-move children from their parent's trace).
+  solving).
 
-Every miss is solved in process by
-:func:`~repro.engine.evaluation.evaluate_candidate` or the delta
-kernel; parallelism lives one level up, in the sharded portfolio race
+Every miss -- a move's child included -- is solved cold, in process,
+by :func:`~repro.engine.evaluation.evaluate_candidate`: the compiled
+pass and the compiled price over one state block cost less than the
+incremental kernel's divergence scan and resume
+(:mod:`repro.engine.delta`, kept as a library module), so moves do not
+use it.  Parallelism lives one level up, in the sharded portfolio race
 (:mod:`repro.search.distributed`).
 """
 
@@ -22,7 +23,6 @@ from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence
 
 from repro.engine.cache import DEFAULT_MAX_ENTRIES, CacheStats, EvaluationCache
 from repro.engine.compiled_spec import CompiledSpec, Signature
-from repro.engine.delta import DeltaEvaluator, DeltaStats
 from repro.engine.evaluation import (
     EvaluatedDesign,
     StageTimings,
@@ -40,8 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class EngineCounters(NamedTuple):
     """A point-in-time snapshot of every engine counter.
 
-    The counter-level sibling of :class:`CacheStats` /
-    :class:`DeltaStats`: one read returns all counters together
+    The counter-level sibling of :class:`CacheStats`: one read
+    returns all counters together
     (the portfolio runner records them as its race-level accounting),
     and two snapshots subtract (``after - before``) to attribute
     engine work to a window of activity.
@@ -54,6 +54,9 @@ class EngineCounters(NamedTuple):
     accounting: probes past the resident tier (hits/misses), rows
     flushed, and the wall time spent opening the database and
     committing write batches.  All zero on the memory backend.
+
+    ``delta_hits``/``delta_fallbacks`` are always zero: moves are
+    evaluated cold.  The fields stay for readers of earlier records.
     """
 
     evaluations: int
@@ -91,12 +94,6 @@ class EvaluationEngine:
         LRU bound of the cache (default
         :data:`repro.engine.cache.DEFAULT_MAX_ENTRIES`; ``None`` =
         unbounded).
-    use_delta:
-        Enable the incremental (move-aware) evaluation kernel: cold
-        evaluations record scheduling traces, and the ``evaluate_move``
-        / ``evaluate_moves`` APIs reschedule children from their
-        parent's checkpoints.  Results are bit-identical either way;
-        this is the CLI's ``--no-delta`` escape hatch.
     cache_store:
         Cache storage backend: ``"memory"`` (the historical in-process
         LRU) or ``"sqlite"`` (persistent across processes and runs;
@@ -118,7 +115,6 @@ class EvaluationEngine:
         spec: "DesignSpec",
         use_cache: bool = True,
         max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-        use_delta: bool = True,
         cache_store: str = "memory",
         cache_path: Optional[str] = None,
         store_read_only: bool = False,
@@ -136,12 +132,7 @@ class EvaluationEngine:
             )
             self.cache = EvaluationCache(max_cache_entries, store=backend)
         self.timings = StageTimings()
-        self.delta: Optional[DeltaEvaluator] = (
-            DeltaEvaluator(self.compiled, self.timings) if use_delta else None
-        )
         self.evaluations = 0
-        self.delta_hits = 0
-        self.delta_fallbacks = 0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -194,11 +185,7 @@ class EvaluationEngine:
         """Schedule and price the child of ``(parent, move)``.
 
         Exactly :meth:`evaluate` of ``move.apply(parent.design)`` --
-        same outcome, same cache accounting -- but served through the
-        incremental kernel when the engine runs in delta mode: the
-        child is rescheduled from the parent's earliest dirty event
-        instead of from scratch.  A parent without a trace (delta off,
-        or from a non-traced source) falls back to a cold evaluation.
+        same outcome, same cache accounting, a cold evaluation.
 
         Raises
         ------
@@ -209,12 +196,12 @@ class EvaluationEngine:
         self.evaluations += 1
         child = move.apply(parent.design)
         if self.cache is None:
-            return self._solve_move(parent, move, child)
+            return self._solve(child)
         signature = self.compiled.signature(child)
         found, outcome = self.cache.lookup(signature)
         if found:
             return outcome
-        outcome = self._solve_move(parent, move, child)
+        outcome = self._solve(child)
         self.cache.store(signature, outcome)
         self.cache.commit()
         return outcome
@@ -226,22 +213,17 @@ class EvaluationEngine:
     ) -> List[Optional[EvaluatedDesign]]:
         """Score one parent's whole move neighbourhood, in input order.
 
-        The move-aware sibling of :meth:`evaluate_many`: exactly a
-        sequence of :meth:`evaluate_move` calls, with one store commit
-        at the end.
+        The move sibling of :meth:`evaluate_many`: exactly a sequence of
+        :meth:`evaluate_move` calls, with one store commit at the end.
         """
         self._ensure_open()
-        moves = list(moves)
-        self.evaluations += len(moves)
         children = [move.apply(parent.design) for move in moves]
+        self.evaluations += len(children)
         if self.cache is None:
-            return [
-                self._solve_move(parent, move, child)
-                for move, child in zip(moves, children)
-            ]
+            return [self._solve(child) for child in children]
         return self._cached_batch(
             [self.compiled.signature(child) for child in children],
-            lambda i: self._solve_move(parent, moves[i], children[i]),
+            lambda i: self._solve(children[i]),
         )
 
     def _cached_batch(
@@ -271,32 +253,8 @@ class EvaluationEngine:
         return results
 
     def _solve(self, design: "CandidateDesign") -> Optional[EvaluatedDesign]:
-        """Cold evaluation; records the column trace in delta mode."""
-        return evaluate_candidate(
-            self.compiled,
-            design,
-            record_trace=self.delta is not None,
-            timings=self.timings,
-        )
-
-    def _solve_move(
-        self,
-        parent: EvaluatedDesign,
-        move: "Transformation",
-        child: "CandidateDesign",
-    ) -> Optional[EvaluatedDesign]:
-        """Delta evaluation of one move, counting hits and fallbacks."""
-        if self.delta is None:
-            return self._solve(child)
-        if parent.trace is None:
-            self.delta_fallbacks += 1
-            return self._solve(child)
-        outcome, used = self.delta.evaluate_move(parent, move, child)
-        if used:
-            self.delta_hits += 1
-        else:
-            self.delta_fallbacks += 1
-        return outcome
+        """Cold evaluation of one cache miss."""
+        return evaluate_candidate(self.compiled, design, timings=self.timings)
 
     def price(self, schedule: "SystemSchedule") -> "DesignMetrics":
         """Metric evaluation of an already-built schedule.
@@ -344,10 +302,6 @@ class EvaluationEngine:
     def store_writes(self) -> int:
         return self.store_stats().writes
 
-    def delta_stats(self) -> DeltaStats:
-        """Delta hit/fallback accounting (zeros when delta is off)."""
-        return DeltaStats(self.delta_hits, self.delta_fallbacks)
-
     def drain_store_rows(self) -> List[tuple]:
         """Hand over encoded result rows a read-only shard view buffered.
 
@@ -380,8 +334,8 @@ class EvaluationEngine:
             evaluations=self.evaluations,
             cache_hits=self.cache_hits,
             cache_misses=self.cache_misses,
-            delta_hits=self.delta_hits,
-            delta_fallbacks=self.delta_fallbacks,
+            delta_hits=0,
+            delta_fallbacks=0,
             sched_ns=timings.sched_ns,
             metrics_ns=timings.metrics_ns,
             decode_ns=timings.decode_ns,

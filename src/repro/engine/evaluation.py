@@ -3,18 +3,19 @@
 ``evaluate_candidate`` is the pure function at the bottom of the whole
 optimization stack: schedule one :class:`CandidateDesign` with the
 compiled problem and price the result with the slide-14 objective.  The
-engine's cache-miss path, its uncached path and the delta kernel's
-fallback all call exactly this function, which is what makes cached,
-uncached, delta and sharded runs bit-identical.
+engine's cache-miss path, its uncached path, its move path and the
+delta kernel's fallback all call exactly this function, which is what
+makes cached, uncached and sharded runs bit-identical.
 
-The hot path never leaves the flat representation:
-the pass finishes as an :class:`~repro.sched.arrays.ArrayRunState`, the
-metrics are priced directly on its columns
+The hot path never leaves the flat representation: the compiled pass
+fills one state block (:class:`~repro.sched.arrays.ArrayBlockState`),
+the metrics are priced directly on that block
 (:mod:`repro.core.array_metrics`), and the object
 :class:`~repro.sched.schedule.SystemSchedule` is decoded **lazily** --
-:attr:`EvaluatedDesign.schedule` builds it on first access (accepted
-incumbents, serialization, verify, figures), while the thousands of
-rejected candidates per search never pay for it.
+:attr:`EvaluatedDesign.schedule` re-runs the pass with trace columns
+on first access (accepted incumbents, serialization, verify, figures),
+while the thousands of rejected candidates per search never pay for
+it.  An outcome keeps no block.
 
 Imports from :mod:`repro.core` are deferred to call time: the engine
 package sits between ``sched`` and ``core`` in the layer diagram
@@ -62,18 +63,19 @@ class EvaluatedDesign:
     """A valid candidate design with its metric values.
 
     ``trace`` is the incremental-evaluation attachment (present only
-    when the engine runs in delta mode): the finished
+    for ``evaluate_candidate(..., record_trace=True)`` outcomes and
+    :class:`~repro.engine.delta.DeltaEvaluator` children): the finished
     :class:`~repro.sched.arrays.ArrayRunState` with its recorded
     columns, which lets a *child* design -- one move away -- be
     scheduled from this design's checkpoints instead of from scratch.
 
-    :attr:`schedule` is **lazy**: the constructor receives the finished
-    array state (or, for store-served outcomes, metrics only) and the
-    object :class:`SystemSchedule` is decoded on first access against
-    the compiled spec, re-running the deterministic pass with trace
-    columns when the state was produced without them.  The decode is
-    cached, so incumbents price the conversion once; rejected
-    candidates never do.
+    :attr:`schedule` is **lazy**: the constructor receives a finished
+    list state with trace columns, or nothing (hot-path and
+    store-served outcomes), and the object :class:`SystemSchedule` is
+    decoded on first access against the compiled spec, re-running the
+    deterministic pass with trace columns when no such state is kept.
+    The decode is cached, so incumbents price the conversion once;
+    rejected candidates never do.
     """
 
     __slots__ = (
@@ -104,9 +106,10 @@ class EvaluatedDesign:
     def schedule(self) -> SystemSchedule:
         """The object schedule, decoded on demand and cached.
 
-        Decodes the finished array state; a columnless hot-path state,
-        or a store-served outcome that persisted metrics only, first
-        re-runs the deterministic pass with trace columns.
+        Decodes the kept list state; an outcome without one with trace
+        columns (the hot path keeps none, a store-served outcome
+        persisted metrics only) first re-runs the deterministic pass
+        with columns.
         """
         schedule = self._schedule
         if schedule is None:
@@ -119,14 +122,16 @@ class EvaluatedDesign:
             start = time.perf_counter_ns()
             state = self._state
             if state is None or not state.columns:
-                state = arrays.schedule_design(
+                traced = arrays.schedule_design(
                     self.design, record=False, columns=True
                 )
-                if not state.success:
+                # A pass with columns always runs the list kernel.
+                if not isinstance(traced, ArrayRunState) or not traced.success:
                     raise ValueError(
                         "stored design no longer schedules; the result "
                         "store and the compiled spec disagree"
                     )
+                state = traced
             schedule = arrays.decode_schedule(state)
             self._schedule = schedule
             timings = self._timings
@@ -181,9 +186,11 @@ def evaluate_candidate(
     """Schedule and price one candidate; ``None`` when it is invalid.
 
     Deterministic: equal ``(spec, design)`` always produce the same
-    outcome, which the evaluation cache relies on.  With ``record_trace`` the outcome additionally carries
-    the pass's column trace, making it usable as the parent of delta
-    evaluations; the metric *values* are identical either way.
+    outcome, which the evaluation cache relies on.  The hot path runs
+    the compiled pass over a state block and keeps no state; with
+    ``record_trace`` the list kernel records the pass's column trace
+    and the outcome carries it, making it usable as the parent of delta
+    evaluations.  The metric *values* are identical either way.
     ``timings`` (when given) accumulates per-stage wall time.
     """
     from repro.core.array_metrics import evaluate_state
@@ -200,7 +207,8 @@ def evaluate_candidate(
     metrics = evaluate_state(arrays, state, spec.future, spec.weights)
     if timings is not None:
         timings.metrics_ns += time.perf_counter_ns() - mid
+    kept = state if record_trace and isinstance(state, ArrayRunState) else None
     return EvaluatedDesign(
-        design, metrics, trace=state if record_trace else None,
-        compiled=compiled, state=state, timings=timings,
+        design, metrics, trace=kept,
+        compiled=compiled, state=kept, timings=timings,
     )

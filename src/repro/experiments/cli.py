@@ -41,7 +41,6 @@ from repro.experiments.runner import (
     DEFAULT_FAMILY_SA_ITERATIONS,
     ExperimentConfig,
     cache_statistics,
-    delta_statistics,
     stage_statistics,
     store_statistics,
     design_identity,
@@ -70,8 +69,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["n_existing"] = args.existing
     if args.sa_iterations:
         overrides["sa_iterations"] = args.sa_iterations
-    if args.no_delta:
-        overrides["use_delta"] = False
     if getattr(args, "cache_store", None):
         overrides["cache_store"] = args.cache_store
     if getattr(args, "cache_path", None):
@@ -101,10 +98,6 @@ def _rate_cell(numerator: int, denominator: int) -> str:
 
 def render_cache_statistics(records) -> str:
     """The per-run evaluation-engine statistics table."""
-    delta_rows = {
-        name: (hits, fallbacks)
-        for name, hits, fallbacks, _rate in delta_statistics(records)
-    }
     store_rows = {
         name: (hits, misses, writes)
         for name, hits, misses, writes, _rate in store_statistics(records)
@@ -120,9 +113,6 @@ def render_cache_statistics(records) -> str:
             hits,
             misses,
             _rate_cell(hits, hits + misses),
-            delta_rows[name][0],
-            delta_rows[name][1],
-            _rate_cell(delta_rows[name][0], sum(delta_rows[name])),
             store_rows[name][0],
             store_rows[name][2],
             _rate_cell(
@@ -137,8 +127,7 @@ def render_cache_statistics(records) -> str:
     return format_table(
         [
             "strategy", "evaluations", "cache hits", "cache misses",
-            "hit rate", "delta hits", "delta fallbacks", "delta rate",
-            "store hits", "store writes", "store rate",
+            "hit rate", "store hits", "store writes", "store rate",
             "sched ms", "metrics ms", "decode ms",
         ],
         rows,
@@ -290,7 +279,6 @@ def _scenarios_run(args: argparse.Namespace) -> int:
             not args.no_cache,
             1,
             args.sa_iterations,
-            not args.no_delta,
             budget=budget,
             cache_store=args.cache_store,
             cache_path=args.cache_path,
@@ -319,8 +307,6 @@ def _scenarios_run(args: argparse.Namespace) -> int:
                 result.evaluations,
                 result.cache_hits,
                 result.cache_misses,
-                result.delta_hits,
-                result.delta_fallbacks,
                 result.store_hits,
                 _rate_cell(
                     result.store_hits,
@@ -336,7 +322,7 @@ def _scenarios_run(args: argparse.Namespace) -> int:
             [
                 "strategy", "valid", "objective", "runtime s",
                 "evaluations", "cache hits", "cache misses",
-                "delta hits", "delta fallbacks", "store hits", "store rate",
+                "store hits", "store rate",
                 "steps", "evals to best",
             ],
             rows,
@@ -375,7 +361,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         return 2
 
     def race(
-        use_delta: bool,
         shards: Optional[int] = None,
         elastic: Optional[bool] = None,
     ):
@@ -386,14 +371,13 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             sa_iterations=args.sa_iterations,
             member_budget=member_budget,
             shared_budget=shared_budget,
-            use_delta=use_delta,
             cache_store=args.cache_store,
             cache_path=args.cache_path,
             shards=args.shards if shards is None else shards,
             elastic=args.elastic if elastic is None else elastic,
         )
 
-    result = race(not args.no_delta)
+    result = race()
     rows = []
     for member in result.members:
         r = member.result
@@ -438,8 +422,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
     print(
         f"{fleet}: {result.evaluations} evaluations, "
         f"{result.cache_hits} cache hits, {result.cache_misses} misses, "
-        f"{result.delta_hits} delta hits, {result.delta_fallbacks} "
-        f"fallbacks, {result.runtime_seconds:.2f}s wall"
+        f"{result.runtime_seconds:.2f}s wall"
     )
     if getattr(result, "shards", 0) and args.verbose:
         for sid, counters, busy in zip(
@@ -448,9 +431,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             print(
                 f"  shard {sid}: {counters.evaluations} evaluations, "
                 f"{counters.cache_hits} cache hits, "
-                f"{counters.cache_misses} misses, "
-                f"{counters.delta_hits} delta hits, "
-                f"{counters.delta_fallbacks} fallbacks, {busy:.2f}s busy"
+                f"{counters.cache_misses} misses, {busy:.2f}s busy"
             )
         steals = sum(1 for e in result.events if e.kind == "steal")
         checkpoints = sum(1 for e in result.events if e.kind == "checkpoint")
@@ -470,10 +451,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
 
     if args.check_determinism:
         reference = _portfolio_identity(result)
-        checks = [
-            ("repeat", lambda: race(not args.no_delta)),
-            ("delta off", lambda: race(False)),
-        ]
+        checks = [("repeat", race)]
         shard_axis = args.budget_seconds is None
         if shard_axis:
             # The distributed race (replay mode) must produce the same
@@ -482,7 +460,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             # runs for deterministic budgets.
             checks.append((
                 "shards=2",
-                lambda: race(not args.no_delta, shards=2, elastic=False),
+                lambda: race(shards=2, elastic=False),
             ))
         failures = [
             f"{member.name} oracle: {failure}"
@@ -503,7 +481,6 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
                 sa_iterations=args.sa_iterations,
                 member_budget=member_budget,
                 shared_budget=None,
-                use_delta=not args.no_delta,
             )
             if (
                 _portfolio_identity(reversed_result)[1:]
@@ -513,7 +490,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
         if failures:
             print(f"DETERMINISM FAILURES: {', '.join(failures)}")
             return 1
-        passed = "oracle, repeat, delta off"
+        passed = "oracle, repeat"
         if shard_axis:
             passed += ", shards=2"
         if shared_budget is None:
@@ -529,7 +506,6 @@ def _scenarios_sweep(args: argparse.Namespace) -> int:
         seeds=tuple(range(1, args.seeds + 1)),
         strategies=tuple(args.strategies),
         sa_iterations=args.sa_iterations,
-        use_delta=not args.no_delta,
         cache_store=args.cache_store,
         cache_path=args.cache_path,
         budget=make_budget(
@@ -667,7 +643,9 @@ def _add_scenarios_parser(subparsers) -> None:
     describe = actions.add_parser(
         "describe", help="show one family's presets and parameters"
     )
-    describe.add_argument("family", help="family name (see: scenarios list)")
+    describe.add_argument(
+        "family", type=_family, help="family name (see: scenarios list)"
+    )
 
     run = actions.add_parser(
         "run", help="run strategies on one generated family scenario"
@@ -688,11 +666,6 @@ def _add_scenarios_parser(subparsers) -> None:
     )
     run.add_argument(
         "--no-cache", action="store_true", help="disable evaluation caching"
-    )
-    run.add_argument(
-        "--no-delta",
-        action="store_true",
-        help="disable incremental (move-aware) evaluation",
     )
     run.add_argument(
         "--budget-evals", type=_nonnegative_int,
@@ -753,11 +726,6 @@ def _add_scenarios_parser(subparsers) -> None:
         help="per-member patience (steps without improvement)",
     )
     portfolio.add_argument(
-        "--no-delta",
-        action="store_true",
-        help="disable incremental (move-aware) evaluation",
-    )
-    portfolio.add_argument(
         "--shards", type=_nonnegative_int, default=0,
         help=(
             "race the portfolio across this many worker processes "
@@ -784,8 +752,8 @@ def _add_scenarios_parser(subparsers) -> None:
         action="store_true",
         help=(
             "check every member's design against the object-kernel "
-            "oracles (reschedule, re-price, verify), then re-race with "
-            "delta off, shards=2, and (without a shared budget) "
+            "oracles (reschedule, re-price, verify), then re-race "
+            "once more, with shards=2, and (without a shared budget) in "
             "reversed member order; fail unless the winning design is "
             "byte-identical (the CI smoke gate)"
         ),
@@ -813,11 +781,6 @@ def _add_scenarios_parser(subparsers) -> None:
         "--sa-iterations", type=_nonnegative_int,
         default=DEFAULT_FAMILY_SA_ITERATIONS,
         help="simulated-annealing iterations",
-    )
-    sweep.add_argument(
-        "--no-delta",
-        action="store_true",
-        help="disable incremental (move-aware) evaluation",
     )
     sweep.add_argument(
         "--budget-evals", type=_nonnegative_int,
@@ -901,14 +864,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     figure_options.add_argument(
         "--sa-iterations", type=_nonnegative_int,
         help="simulated-annealing iterations",
-    )
-    figure_options.add_argument(
-        "--no-delta",
-        action="store_true",
-        help=(
-            "disable incremental (move-aware) evaluation; every candidate "
-            "is rescheduled from scratch (results are identical)"
-        ),
     )
     _add_store_options(figure_options)
     figure_options.add_argument(

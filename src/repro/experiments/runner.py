@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.metrics import ObjectiveWeights, evaluate_design
 from repro.core.strategy import DesignResult, DesignSpec, make_strategy
 from repro.engine.cache import CacheStats
-from repro.engine.delta import DeltaStats
 from repro.gen.scenario import Scenario, ScenarioParams, build_scenario
 from repro.gen import families as families_module
 from repro.search.budget import Budget
@@ -48,9 +47,6 @@ class ExperimentConfig:
     n_existing: int = 60
     seeds: Tuple[int, ...] = (1, 2, 3)
     sa_iterations: int = 1200
-    #: Incremental (move-aware) evaluation; the CLI's ``--no-delta``
-    #: escape hatch sets this False.  Results are identical either way.
-    use_delta: bool = True
     #: Result-store backend of every strategy's evaluation engine:
     #: ``"memory"`` (process-local LRU) or ``"sqlite"`` (persistent
     #: database at ``cache_path``, warm across runs).  The CLI's
@@ -194,14 +190,12 @@ def _build(name: str, config: ExperimentConfig, seed: int):
             "SA",
             iterations=config.sa_iterations,
             seed=seed * 7919 + 13,
-            use_delta=config.use_delta,
             cache_store=config.cache_store,
             cache_path=config.cache_path,
             budget=budget,
         )
     return make_strategy(
         name,
-        use_delta=config.use_delta,
         cache_store=config.cache_store,
         cache_path=config.cache_path,
         budget=budget,
@@ -234,33 +228,6 @@ def cache_statistics(
         misses = sum(r.cache_misses for r in results)
         rate = CacheStats(hits, misses, 0).hit_rate
         rows.append((name, evaluations, hits, misses, rate))
-    return rows
-
-
-def delta_statistics(
-    records: Sequence[ComparisonRecord],
-    strategies: Optional[Sequence[str]] = None,
-) -> List[Tuple[str, int, int, float]]:
-    """Per-strategy incremental-evaluation totals across all runs.
-
-    Returns ``(strategy, delta_hits, delta_fallbacks, hit_rate)`` rows,
-    the delta counterpart of :func:`cache_statistics`; all zeros for a
-    strategy when the runs used ``--no-delta``.
-    """
-    if strategies is None:
-        seen: List[str] = []
-        for record in records:
-            for name in record.results:
-                if name not in seen:
-                    seen.append(name)
-        strategies = seen
-    rows: List[Tuple[str, int, int, float]] = []
-    for name in strategies:
-        results = [r.results[name] for r in records if name in r.results]
-        hits = sum(r.delta_hits for r in results)
-        fallbacks = sum(r.delta_fallbacks for r in results)
-        stats = DeltaStats(hits, fallbacks)
-        rows.append((name, hits, fallbacks, stats.hit_rate))
     return rows
 
 
@@ -498,7 +465,6 @@ def strategy_for_family(
     use_cache: bool,
     jobs: int,
     sa_iterations: int,
-    use_delta: bool = True,
     budget: Optional[Budget] = None,
     cache_store: str = "memory",
     cache_path: Optional[str] = None,
@@ -525,7 +491,6 @@ def strategy_for_family(
             iterations=sa_iterations,
             seed=seed * 7919 + 13 + variant * 101,
             use_cache=use_cache,
-            use_delta=use_delta,
             cache_store=cache_store,
             cache_path=cache_path,
             budget=budget,
@@ -536,7 +501,6 @@ def strategy_for_family(
     return make_strategy(
         base,
         use_cache=use_cache,
-        use_delta=use_delta,
         cache_store=cache_store,
         cache_path=cache_path,
         budget=budget,
@@ -570,7 +534,6 @@ def run_portfolio(
     member_budget: Optional[Budget] = None,
     shared_budget: Optional[Budget] = None,
     use_cache: bool = True,
-    use_delta: bool = True,
     cache_store: str = "memory",
     cache_path: Optional[str] = None,
     shards: int = 0,
@@ -602,7 +565,6 @@ def run_portfolio(
             shards=shards,
             mode="elastic" if elastic else "replay",
             use_cache=use_cache,
-            use_delta=use_delta,
             cache_store=cache_store,
             cache_path=cache_path,
         ).run(spec)
@@ -610,7 +572,6 @@ def run_portfolio(
         members,
         budget=shared_budget,
         use_cache=use_cache,
-        use_delta=use_delta,
         cache_store=cache_store,
         cache_path=cache_path,
     )
@@ -624,7 +585,6 @@ def run_family_matrix(
     strategies: Sequence[str] = ("AH", "MH", "SA"),
     cache_modes: Sequence[bool] = (True, False),
     sa_iterations: int = DEFAULT_FAMILY_SA_ITERATIONS,
-    use_delta: bool = True,
     cache_store: str = "memory",
     cache_path: Optional[str] = None,
     budget: Optional[Budget] = None,
@@ -672,7 +632,6 @@ def run_family_matrix(
                         use_cache,
                         1,
                         sa_iterations,
-                        use_delta,
                         budget=budget,
                         cache_store=cache_store if use_cache else "memory",
                         cache_path=cache_path,
@@ -712,8 +671,7 @@ def run_family_smoke(
     Per family: (1) the scenario round-trips through the JSON codec
     byte-identically; (2) every strategy finds a *valid* design that
     passes the oracle check (:func:`oracle_failures`); (3) each
-    strategy's design is identical with the cache on, with the cache
-    off and with incremental evaluation off (``--no-delta``) -- the
+    strategy's design is identical with the cache on and off -- the
     determinism contract new families must not break.
 
     ``cache_store``/``cache_path`` apply to the *baseline* run of each
@@ -765,19 +723,13 @@ def run_family_smoke(
                 f"{strategy_name}: {failure}"
                 for failure in oracle_failures(scenario, spec, baseline)
             )
-            reference = design_identity(baseline)
-            for label, use_cache, use_delta in (
-                ("cache off", False, True),
-                ("delta off", True, False),
-            ):
-                other = strategy_for_family(
-                    strategy_name, seed, use_cache, 1, sa_iterations,
-                    use_delta,
-                ).design(spec)
-                if design_identity(other) != reference:
-                    smoke.failures.append(
-                        f"{strategy_name}: design differs with {label}"
-                    )
+            other = strategy_for_family(
+                strategy_name, seed, False, 1, sa_iterations
+            ).design(spec)
+            if design_identity(other) != design_identity(baseline):
+                smoke.failures.append(
+                    f"{strategy_name}: design differs with cache off"
+                )
         smoke.runtime_seconds = time.perf_counter() - started
         if verbose:
             status = "ok" if smoke.ok else "; ".join(smoke.failures)

@@ -16,8 +16,14 @@ on nodes and of messages in TDMA slots.  This subpackage provides:
   (CODES'97) that seeds the paper's Initial Mapping.
 * :mod:`~repro.sched.render` -- ASCII Gantt charts of schedules for
   examples and debugging.
+* :mod:`~repro.sched.arrays` -- the structure-of-arrays runtime
+  scheduler; :mod:`~repro.sched.ckernel` loads its compiled pass and
+  the compiled pricing kernel (one cffi extension).
 """
 
+# First: the compiled kernel loader imports only the standard library,
+# so a build spawns the compiler from a small process.
+from repro.sched import ckernel
 from repro.sched.schedule import ScheduledProcess, SystemSchedule
 from repro.sched.list_scheduler import ListScheduler, ScheduleResult
 from repro.sched.priorities import (

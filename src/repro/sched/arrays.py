@@ -35,11 +35,23 @@ oracle) by construction:
   in the same check order, so invalid candidates report identical
   reasons.
 
+The kernel exists twice, with one set of decisions:
+
+* **Compiled** (the runtime path): ``sched_pass`` in
+  :mod:`repro.sched.ckernel` runs the loop in C over one flat int64
+  *state block* per candidate (:class:`ArrayBlockState`), copied from a
+  per-spec template and filled in place; the pricing kernel then reads
+  the same block.  Block states carry no trace columns.
+* **Python lists** (:class:`ArrayRunState`): the oracle the compiled
+  pass is tested against, the fallback when the extension is not
+  built, the decode path (``columns=True``) and the delta substrate.
+
 At the boundary, :meth:`decode_schedule` rebuilds a plain
 :class:`SystemSchedule` (same entry/occupancy insertion orders as the
-object kernel) so the metric, verify and serialize layers are
-untouched, and :meth:`to_schedule_trace` decodes the column trace into
-a legacy :class:`ScheduleTrace` for tests and inspection.
+object kernel) from a list state with columns, so the metric, verify
+and serialize layers are untouched, and :meth:`to_schedule_trace`
+decodes the column trace into a legacy :class:`ScheduleTrace` for
+tests and inspection.
 
 Delta evaluation over array states slice-copies the trace columns: the
 divergence scan compares ``(urgency, static_rank)`` pairs (isomorphic
@@ -50,12 +62,27 @@ prefix replay of placements -- no object-graph surgery.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.sched import ckernel
+from repro.sched.ckernel import (
+    H_END,
+    H_JOB,
+    H_KEY,
+    H_SCHEDULED,
+    ST_BUS,
+    ST_CYCLE,
+    ST_DEADLINE,
+    ST_HORIZON,
+    ST_OK,
+    ST_WCET,
+    BlockLayout,
+)
 from repro.sched.jobs import JobKey
 from repro.sched.schedule import ScheduledProcess, SystemSchedule
 from repro.sched.trace import MessageEvent, ScheduleTrace
@@ -142,20 +169,98 @@ class ArrayRunState:
         )
 
 
+class ArrayBlockState:
+    """Outcome of one compiled pass: the filled state block and its verdict.
+
+    The block (layout: :class:`~repro.sched.ckernel.BlockLayout`) holds
+    the final run columns and used-byte vector the pricing kernel
+    reads.  There are no trace columns, so decoding re-runs the list
+    kernel with columns (as :attr:`EvaluatedDesign.schedule
+    <repro.engine.evaluation.EvaluatedDesign.schedule>` does), and
+    :attr:`runs_s` / :attr:`runs_e` / :attr:`bus_used` are read-only
+    views in the list state's shape for the Python oracles.
+    """
+
+    __slots__ = ("layout", "block", "success", "failure_reason")
+
+    columns = False
+    record = False
+
+    def __init__(self, layout: BlockLayout, block: np.ndarray) -> None:
+        self.layout = layout
+        self.block = block
+        self.success = False
+        self.failure_reason: Optional[str] = None
+
+    @property
+    def scheduled(self) -> int:
+        return int(self.block[H_SCHEDULED])
+
+    @property
+    def total(self) -> int:
+        return self.layout.n_jobs
+
+    def _runs(self, offset: int) -> List[List[int]]:
+        layout = self.layout
+        block = self.block
+        cap = layout.run_cap
+        counts = block[layout.count:layout.count + layout.n_nodes].tolist()
+        return [
+            block[offset + n * cap:offset + n * cap + k].tolist()
+            for n, k in enumerate(counts)
+        ]
+
+    @property
+    def runs_s(self) -> List[List[int]]:
+        return self._runs(self.layout.starts)
+
+    @property
+    def runs_e(self) -> List[List[int]]:
+        return self._runs(self.layout.ends)
+
+    @property
+    def bus_used(self) -> np.ndarray:
+        layout = self.layout
+        return self.block[layout.bus:layout.bus + layout.n_occ]
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"ArrayBlockState(scheduled={self.scheduled}/{self.total}, "
+            f"success={self.success})"
+        )
+
+
+#: Either kind of pass state.
+RunState = Union[ArrayRunState, ArrayBlockState]
+
+
 class _Candidate:
-    """Per-candidate lowering: mapping, delays and the rank bijection."""
+    """Per-candidate lowering: mapping, delays and the rank bijection.
 
-    __slots__ = ("node_of", "delays", "urg", "rank_of_job", "job_of_rank",
-                 "rank_np")
+    ``rank_np``/``order_np`` are the int64 vectors a state block is
+    filled from; the list kernel reads their list forms.
+    """
 
-    def __init__(self, node_of, delays, urg, rank_of_job, job_of_rank,
-                 rank_np) -> None:
+    __slots__ = ("node_of", "delays", "urg_np", "rank_np", "order_np")
+
+    def __init__(self, node_of, delays, urg_np, rank_np, order_np) -> None:
         self.node_of = node_of
         self.delays = delays
-        self.urg = urg
-        self.rank_of_job = rank_of_job
-        self.job_of_rank = job_of_rank
+        self.urg_np = urg_np
         self.rank_np = rank_np
+        self.order_np = order_np
+
+    @property
+    def urg(self) -> List[float]:
+        return self.urg_np.tolist()
+
+    @property
+    def rank_of_job(self) -> List[int]:
+        return self.rank_np.tolist()
+
+    @property
+    def job_of_rank(self) -> List[int]:
+        return self.order_np.tolist()
 
 
 class ArrayMetricGeometry:
@@ -177,12 +282,13 @@ class ArrayMetricGeometry:
     __slots__ = (
         "horizon", "t_min", "n_windows", "window_width", "window_lengths",
         "caps_flat", "win_flat", "base_used", "base_resid_hist",
-        "base_window_free", "start_order",
+        "base_window_free", "start_order", "layout",
     )
 
     def __init__(self, spec: "ArraySpec", t_min: int) -> None:
         horizon = spec.horizon
         self.horizon = horizon
+        self.layout = spec.layout
         self.t_min = t_min
         n_windows = -(-horizon // t_min)
         self.n_windows = n_windows
@@ -453,8 +559,48 @@ class ArraySpec:
             base_used_flat[occ_base[self.node_index[node_id]] + r] = value
         self.base_bus_used_flat = base_used_flat
 
+        self.layout, self.block_template = self._block_template()
+        self._pass_context: Optional[ckernel.PassContext] = None
+
         # Per-T_min metric geometry, built lazily by metric_geometry().
         self._metric_geometry: Dict[int, "ArrayMetricGeometry"] = {}
+
+    def _block_template(self) -> Tuple[BlockLayout, np.ndarray]:
+        """The state-block layout and the fresh block every pass copies.
+
+        A node's run count never exceeds its base runs plus the jobs
+        allowed on it (one placement adds at most one run), which sizes
+        the common run capacity.  The template holds the base
+        occupancy, release times and predecessor counts; its layout
+        key is a digest of that content, so a block of another spec is
+        refused by the kernel.
+        """
+        n_nodes = len(self.node_ids)
+        run_cap = 1
+        for n in range(n_nodes):
+            allowed = sum(1 for j in range(self.n_jobs)
+                          if self.wcet[self.job_pid[j]][n] >= 0)
+            run_cap = max(run_cap, len(self.base_runs_s[n]) + allowed)
+        layout = BlockLayout(
+            0, n_nodes, run_cap, self.n_occ, self.n_jobs, len(self.pids),
+            self.n_messages,
+        )
+        block = np.zeros(layout.size, dtype=np.int64)
+        for n in range(n_nodes):
+            k = len(self.base_runs_s[n])
+            block[layout.count + n] = k
+            at = n * run_cap
+            block[layout.starts + at:layout.starts + at + k] = self.base_runs_s[n]
+            block[layout.ends + at:layout.ends + at + k] = self.base_runs_e[n]
+        block[layout.bus:layout.bus + self.n_occ] = self.base_bus_used_flat
+        block[layout.earliest:layout.preds] = self.job_release
+        block[layout.preds:layout.heap] = self.preds0
+        digest = hashlib.sha256(block.tobytes())
+        digest.update(repr((self.horizon, self.sources, self.out_ptr,
+                            self.edge_dst, self.wcet)).encode())
+        layout.key = int.from_bytes(digest.digest()[:8], "little") >> 2
+        block[H_KEY] = layout.key
+        return layout, block
 
     def metric_geometry(self, t_min: int) -> ArrayMetricGeometry:
         """Precompiled metric geometry for one ``T_min`` (cached).
@@ -481,6 +627,8 @@ class ArraySpec:
         The rank bijection is the heart of the integer heap: jobs
         sorted by ``(urgency, static_rank)`` -- the legacy heap-key
         order -- and ``rank_of_job`` maps each job to its position.
+        The float urgencies are ranked here, by ``np.lexsort``; both
+        kernels see the integer ranks only.
         """
         assignment = design.mapping.as_dict()
         node_index = self.node_index
@@ -500,14 +648,7 @@ class ArraySpec:
             m = msg_index.get(mid)
             if m is not None:
                 delays[m] = value
-        return _Candidate(
-            node_of,
-            delays,
-            urg.tolist(),
-            rank_np.tolist(),
-            order.tolist(),
-            rank_np,
-        )
+        return _Candidate(node_of, delays, urg, rank_np, order)
 
     def fresh_state(
         self, cand: _Candidate, record: bool, columns: Optional[bool] = None
@@ -526,7 +667,7 @@ class ArraySpec:
         st.node_of = cand.node_of
         st.delays = cand.delays
         st.urg = cand.urg
-        st.rank_of_job = cand.rank_of_job
+        st.rank_of_job = rank_of_job = cand.rank_of_job
         st.job_of_rank = cand.job_of_rank
         st.rank_np = cand.rank_np
         st.runs_s = [list(runs) for runs in self.base_runs_s]
@@ -534,7 +675,6 @@ class ArraySpec:
         st.bus_used = self.base_bus_used_flat.copy()
         st.earliest = list(self.job_release)
         st.preds = list(self.preds0)
-        rank_of_job = cand.rank_of_job
         ready = [rank_of_job[j] for j in self.sources]
         heapq.heapify(ready)
         st.ready = ready
@@ -561,35 +701,143 @@ class ArraySpec:
             st.pop = None
         return st
 
+    def block_state(self, cand: _Candidate) -> ArrayBlockState:
+        """Cold-pass state block: the template plus the candidate section."""
+        layout = self.layout
+        block = self.block_template.copy()
+        block[layout.node_of:layout.delays] = cand.node_of
+        block[layout.delays:layout.rank] = cand.delays
+        block[layout.rank:layout.order] = cand.rank_np
+        block[layout.order:layout.count] = cand.order_np
+        return ArrayBlockState(layout, block)
+
+    def pack_block(self, st: ArrayRunState) -> np.ndarray:
+        """A list state's runs and used bytes in block layout.
+
+        So the compiled pricing kernel reads one layout only; raises
+        ``ValueError`` for a state of another shape.
+        """
+        layout = self.layout
+        cap = layout.run_cap
+        if len(st.runs_s) != layout.n_nodes or len(st.runs_e) != layout.n_nodes:
+            raise ValueError(
+                f"state has {len(st.runs_s)} nodes, the spec has "
+                f"{layout.n_nodes}"
+            )
+        if len(st.bus_used) != layout.n_occ:
+            raise ValueError(
+                f"bus_used holds {len(st.bus_used)} values, the spec has "
+                f"{layout.n_occ} slot occurrences"
+            )
+        block = self.block_template.copy()
+        for n, (ss, ee) in enumerate(zip(st.runs_s, st.runs_e)):
+            k = len(ss)
+            if k > cap or len(ee) != k:
+                raise ValueError(
+                    f"node {n} has {k} runs, the layout holds {cap}"
+                )
+            block[layout.count + n] = k
+            at = n * cap
+            block[layout.starts + at:layout.starts + at + k] = ss
+            block[layout.ends + at:layout.ends + at + k] = ee
+        block[layout.bus:layout.bus + layout.n_occ] = st.bus_used
+        return block
+
     def schedule_design(
         self,
         design: "CandidateDesign",
         record: bool = False,
         columns: Optional[bool] = None,
-    ) -> ArrayRunState:
-        """Run one cold pass; the array analogue of ``try_schedule``."""
+    ) -> RunState:
+        """Run one cold pass; the array analogue of ``try_schedule``.
+
+        The hot path (neither ``record`` nor ``columns``) runs the
+        compiled pass over a state block when the extension is loaded;
+        otherwise, and whenever a trace is asked for, the list kernel
+        runs.
+        """
         design.mapping.validate_complete()
-        st = self.fresh_state(self.lower_candidate(design), record, columns)
+        cand = self.lower_candidate(design)
+        if record or columns or ckernel.KERNEL is None:
+            st: RunState = self.fresh_state(cand, record, columns)
+        else:
+            st = self.block_state(cand)
         self.run_kernel(st)
         return st
 
     # ------------------------------------------------------------------
     # the kernel
     # ------------------------------------------------------------------
-    def run_kernel(self, st: ArrayRunState) -> None:
-        """The resumable pass loop over index state; mutates ``st``.
+    def run_kernel(self, st: RunState) -> None:
+        """The pass loop over index state; mutates ``st``.
 
         Pop order, gap search, TDMA packing, delay handling, failure
         checks and checkpoint marks replicate ``ListScheduler.run_pass``
         decision for decision -- see the module docstring for the
         order-isomorphism argument.  On return either ``st.success`` is
         True or ``st.failure_reason`` carries the object kernel's exact
-        failure string.
+        failure string.  A block state runs in one call of the compiled
+        pass; a list state runs the Python loop (resumable).
         """
-        pids = self.pids
-        node_ids = self.node_ids
+        if not isinstance(st, ArrayBlockState):
+            self._run_lists(st)
+            return
+        context = self._pass_context
+        if context is None:
+            kernel = ckernel.KERNEL
+            if kernel is None:
+                raise RuntimeError(
+                    "state blocks need the compiled kernel, which is not "
+                    "loaded"
+                )
+            context = ckernel.PassContext(kernel, self.layout, self)
+            self._pass_context = context
+        block = st.block
+        status = context.run(block)
+        if status == ST_OK:
+            st.success = True
+        else:
+            job, node, edge, end = block[H_JOB:H_END + 1].tolist()
+            st.failure_reason = self._failure(status, job, node, edge, end)
+
+    def _failure(self, status: int, j: int, n: int, t: int, end: int) -> str:
+        """The object kernel's failure string for one failed pass.
+
+        ``j``/``n`` are the failing job and node, ``t`` the out-edge of
+        a message that found no slot, ``end`` the missed end time.  A
+        process without a WCET on its node delegates to ``wcet_on``,
+        which raises the object kernel's error.
+        """
+        pid = self.pids[self.job_pid[j]] if j >= 0 else ""
+        node = self.node_ids[n] if n >= 0 else ""
+        instance = self.job_instance[j] if j >= 0 else -1
+        if status == ST_WCET:
+            # Unreachable behind Mapping's allowed-node validation.
+            self.compiled.application.process(pid).wcet_on(node)
+        if status == ST_HORIZON:
+            return (
+                f"process {pid!r} instance {instance} does not fit "
+                f"inside the horizon on node {node!r}"
+            )
+        if status == ST_DEADLINE:
+            return (
+                f"process {pid!r} instance {instance} misses its "
+                f"deadline ({end} > {self.job_deadline[j]}) on node "
+                f"{node!r}"
+            )
+        if status == ST_BUS:
+            return (
+                f"message {self.message_ids[self.edge_msg[t]]!r} instance "
+                f"{instance} cannot be placed on the bus before the horizon"
+            )
+        if status == ST_CYCLE:
+            # Unreachable with a DAG, kept as a defensive invariant.
+            return "precedence cycle left process instances unscheduled"
+        raise ValueError(f"unknown pass status {status}")
+
+    def _run_lists(self, st: ArrayRunState) -> None:
+        """The Python list kernel (see :meth:`run_kernel`)."""
         job_pid = self.job_pid
-        job_instance = self.job_instance
         deadline = self.job_deadline
         wcet = self.wcet
         out_ptr = self.out_ptr
@@ -597,7 +845,6 @@ class ArraySpec:
         edge_dst = self.edge_dst
         edge_dst_pid = self.edge_dst_pid
         edge_size = self.edge_size
-        mids = self.message_ids
         slot_off = self.slot_offset
         slot_len = self.slot_length
         slot_cap = self.slot_capacity
@@ -639,12 +886,7 @@ class ArraySpec:
             n = node_of[p]
             w = wcet[p][n]
             if w < 0:
-                # Unreachable behind Mapping's allowed-node validation;
-                # delegate so the error matches the object kernel's.
-                self.compiled.application.process(pids[p]).wcet_on(
-                    node_ids[n]
-                )
-            instance = job_instance[j]
+                self._failure(ST_WCET, j, n, -1, -1)
 
             # Inlined IntervalSet.earliest_fit over the run lists.
             ss = runs_s[n]
@@ -666,18 +908,11 @@ class ArraySpec:
             end = start + w
             if end > horizon:
                 st.scheduled = scheduled
-                st.failure_reason = (
-                    f"process {pids[p]!r} instance {instance} does not fit "
-                    f"inside the horizon on node {node_ids[n]!r}"
-                )
+                st.failure_reason = self._failure(ST_HORIZON, j, n, -1, end)
                 return
             if end > deadline[j]:
                 st.scheduled = scheduled
-                st.failure_reason = (
-                    f"process {pids[p]!r} instance {instance} misses its "
-                    f"deadline ({end} > {deadline[j]}) on node "
-                    f"{node_ids[n]!r}"
-                )
+                st.failure_reason = self._failure(ST_DEADLINE, j, n, -1, end)
                 return
             # Canonical insertion at idx: the fit search guarantees
             # ee[idx-1] <= start and ss[idx] >= end, so only adjacency
@@ -728,10 +963,8 @@ class ArraySpec:
                             delay -= 1
                     if r >= count:
                         st.scheduled = scheduled
-                        st.failure_reason = (
-                            f"message {mids[edge_msg[t]]!r} instance "
-                            f"{instance} cannot be placed on the bus "
-                            f"before the horizon"
+                        st.failure_reason = self._failure(
+                            ST_BUS, j, n, t, end
                         )
                         return
                     bus_used[base + r] += size
@@ -760,10 +993,7 @@ class ArraySpec:
 
         st.scheduled = scheduled
         if scheduled != st.total:
-            # Unreachable with a DAG, kept as a defensive invariant.
-            st.failure_reason = (
-                "precedence cycle left process instances unscheduled"
-            )
+            st.failure_reason = self._failure(ST_CYCLE, -1, -1, -1, -1)
             return
         st.success = True
 

@@ -4,8 +4,8 @@ The in-process :class:`~repro.search.portfolio.PortfolioRunner` races
 members in deterministic lockstep on one engine -- pinned, simple, and
 single-core.  This module shards the same race across N worker
 processes: each shard drives a subset of the members' search programs
-against its own :class:`~repro.engine.engine.EvaluationEngine` (delta
-kernel, read-only view of the shared sqlite result store),
+against its own :class:`~repro.engine.engine.EvaluationEngine` (with a
+read-only view of the shared sqlite result store),
 while the parent coordinator owns the shared racing budget, the steal
 protocol and the single read-write store connection.
 
@@ -153,7 +153,6 @@ def _shard_main(
         spec,
         use_cache=cfg["use_cache"],
         max_cache_entries=cfg["max_cache_entries"],
-        use_delta=cfg["use_delta"],
         cache_store=cfg["cache_store"],
         cache_path=cfg["cache_path"],
         store_read_only=cfg["cache_store"] == "sqlite",
@@ -427,7 +426,6 @@ class DistributedPortfolioRunner:
         mode: str = "replay",
         use_cache: bool = True,
         max_cache_entries: Optional[int] = -1,
-        use_delta: bool = True,
         cache_store: str = "memory",
         cache_path: Optional[str] = None,
         steal_schedule: Optional[Sequence[dict]] = None,
@@ -470,7 +468,6 @@ class DistributedPortfolioRunner:
         self.mode = mode
         self.use_cache = use_cache
         self.max_cache_entries = max_cache_entries
-        self.use_delta = use_delta
         self.cache_store = cache_store
         self.cache_path = cache_path
         self.steal_schedule = [dict(e) for e in (steal_schedule or ())]
@@ -539,7 +536,6 @@ class _Coordinator:
         return {
             "use_cache": runner.use_cache,
             "max_cache_entries": max_entries,
-            "use_delta": runner.use_delta,
             "cache_store": runner.cache_store,
             "cache_path": runner.cache_path,
             "metered": runner._metered,
@@ -848,7 +844,6 @@ class _Coordinator:
                 use_cache=True,
                 cache_store="sqlite",
                 cache_path=runner.cache_path,
-                use_delta=False,
             )
 
         try:

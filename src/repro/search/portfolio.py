@@ -8,9 +8,9 @@ form every kernel-backed strategy exposes via ``search_program``) in
 deterministic lockstep over one shared
 :class:`~repro.engine.engine.EvaluationEngine`:
 
-* **one engine** -- all members share the compiled problem, the
+* **one engine** -- all members share the compiled problem and the
   evaluation cache (a design priced for member A is a cache hit for
-  member B) and the delta kernel;
+  member B);
 * **lockstep rounds** -- each round serves at most one evaluation
   request per still-running member, in configured member order.  The
   interleaving is a pure function of the configuration, never of
@@ -31,7 +31,7 @@ deterministic lockstep over one shared
 
 Per-member engine attribution: each member's ``DesignResult`` reports
 the evaluations served on its behalf, its own ``SearchStats``, and the
-runtime, cache/delta/store counters and stage timers of the engine
+runtime, cache/store counters and stage timers of the engine
 work done during its own turns (:class:`MemberMeter`).  The
 :class:`PortfolioResult` carries the race totals; the members' counters
 sum to them.  A member's cache hits may land on entries another member
@@ -128,8 +128,8 @@ class MemberMeter:
 
     Every piece of member work -- priming its program, serving its
     request, cutting or checkpointing it -- runs inside
-    :meth:`turn`, which charges the engine-counter difference (cache,
-    delta, store counters and the stage timers) and the wall time of
+    :meth:`turn`, which charges the engine-counter difference (cache
+    and store counters and the stage timers) and the wall time of
     the turn to that member.  Work done outside turns is charged to no
     member, so when every engine call happens in a turn the members'
     counters sum to the engine's totals.
@@ -186,7 +186,7 @@ class PortfolioRunner:
         wall-clock axes; per-member step caps belong to the members'
         own budgets).  ``None`` lets every member run to its own
         completion.
-    use_cache, max_cache_entries, use_delta, cache_store, cache_path:
+    use_cache, max_cache_entries, cache_store, cache_path:
         Shared-engine knobs, exactly as on
         :class:`~repro.engine.engine.EvaluationEngine`.  With
         ``cache_store="sqlite"`` the whole race shares one persistent
@@ -200,7 +200,6 @@ class PortfolioRunner:
         budget: Optional[Budget] = None,
         use_cache: bool = True,
         max_cache_entries: Optional[int] = -1,
-        use_delta: bool = True,
         cache_store: str = "memory",
         cache_path: Optional[str] = None,
     ):
@@ -210,7 +209,6 @@ class PortfolioRunner:
         self.budget = budget
         self.use_cache = use_cache
         self.max_cache_entries = max_cache_entries
-        self.use_delta = use_delta
         self.cache_store = cache_store
         self.cache_path = cache_path
 
@@ -227,7 +225,6 @@ class PortfolioRunner:
             spec,
             use_cache=self.use_cache,
             max_cache_entries=max_entries,
-            use_delta=self.use_delta,
             cache_store=self.cache_store,
             cache_path=self.cache_path,
         ) as evaluator:

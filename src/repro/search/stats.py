@@ -1,8 +1,8 @@
 """Per-search accounting: what one search loop (or pipeline) did.
 
-:class:`SearchStats` sits alongside the engine's ``CacheStats`` and
-``DeltaStats`` in the observability story: the engine counts what the
-*evaluation* layer did (hits, misses, delta resumes), this counts what
+:class:`SearchStats` sits alongside the engine's ``CacheStats`` in the
+observability story: the engine counts what the *evaluation* layer did
+(hits, misses, store traffic), this counts what
 the *search* layer did with it -- steps taken, proposals priced, moves
 accepted, and how many evaluations it took to reach the final
 incumbent.  Multi-phase strategies (SA's probe / walk / polish) merge

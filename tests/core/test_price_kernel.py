@@ -1,7 +1,7 @@
 """The compiled pricing kernel against its Python oracle.
 
-Three layers of evidence that :mod:`repro.core.price_kernel` changes no
-objective:
+Three layers of evidence that the compiled ``price_state`` of
+:mod:`repro.sched.ckernel` changes no objective:
 
 * along SA move chains on every scenario family, the compiled integer
   core equals :func:`~repro.core.array_metrics.price_counts_python`, and
@@ -13,16 +13,19 @@ objective:
   :func:`~repro.core.binpack.best_fit_unplaced_total_hist` (and the
   reference :func:`~repro.core.binpack.best_fit`) on random bags and bins.
 
-Plus the loader: one build per source hash published atomically,
-concurrent builders, and the warn-once fallback to the Python kernel
-whose objectives are byte-identical.
+Plus the loader of the one extension (the scheduling pass and the
+pricing kernel): one build per source hash published atomically,
+concurrent builders, and the warn-once fallback to the Python kernels,
+whose designs are byte-identical on every golden cell.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import multiprocessing
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -32,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import array_metrics, price_kernel
+from repro.core import array_metrics
 from repro.core.array_metrics import (
     _packing_runs,
     evaluate_state,
@@ -48,10 +51,16 @@ from repro.engine import evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec
 from repro.experiments.runner import strategy_for_family
 from repro.gen import families
+from repro.sched import ckernel
 from repro.search.proposers import random_move
 
 compiled_only = pytest.mark.skipif(
-    price_kernel.KERNEL is None, reason="compiled pricing kernel not built"
+    ckernel.KERNEL is None, reason="compiled kernel not built"
+)
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "search" / "golden_designs.json")
+    .read_text()
 )
 
 
@@ -77,7 +86,10 @@ def _compiled_counts(arrays, state, future):
     context = array_metrics._price_context(
         arrays.metric_geometry(future.t_min), future
     )
-    return context.price(state)
+    block = getattr(state, "block", None)
+    if block is None:
+        block = arrays.pack_block(state)
+    return context.price(block)
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +166,7 @@ def test_idle_and_fully_busy_nodes():
     _, c2p, _, _ = _both(arrays, state, spec.future)
     # The busy node contributes zero slack, the idle one a full window.
     geom = arrays.metric_geometry(spec.future.t_min)
-    others = _both(
+    others = price_counts_python(
         arrays,
         SimpleNamespace(
             runs_s=state.runs_s[2:],
@@ -194,10 +206,14 @@ def test_zero_residuals():
 
 @compiled_only
 def test_state_vectors_are_int64():
-    """The kernel reads bus_used through a raw int64 view."""
+    """The kernel reads blocks (and packs bus_used) through raw int64 views."""
     _, arrays, state = _state()
     assert state.bus_used.dtype == np.int64
     assert state.bus_used.flags["C_CONTIGUOUS"]
+    block_state = arrays.schedule_design(_cell("uniform-baseline")[2].design)
+    assert block_state.block.dtype == np.int64
+    assert block_state.block.flags["C_CONTIGUOUS"]
+    assert block_state.bus_used.dtype == np.int64
 
 
 @compiled_only
@@ -266,20 +282,27 @@ def test_compiled_packing_equals_oracle(
         base_resid_hist=dict(Counter(caps.tolist())),
         base_window_free=[0],
     )
+    layout = ckernel.BlockLayout(
+        7, n_nodes=1, run_cap=len(runs_s), n_occ=len(caps), n_jobs=0,
+        n_pids=0, n_msgs=0,
+    )
+    geom.layout = layout
     p_min = min(process_bag) if process_bag else 1
     m_min = min(message_bag) if message_bag else 1
-    context = price_kernel.PriceContext(
-        price_kernel.KERNEL,
+    context = ckernel.PriceContext(
+        ckernel.KERNEL,
         geom,
         _runs(process_bag),
         p_min,
         _runs(message_bag),
         m_min,
     )
-    state = SimpleNamespace(
-        runs_s=[runs_s], runs_e=[runs_e], bus_used=geom.base_used
-    )
-    unplaced_p, _, unplaced_m, _ = context.price(state)
+    block = np.zeros(layout.size, dtype=np.int64)
+    block[ckernel.H_KEY] = layout.key
+    block[layout.count] = len(runs_s)
+    block[layout.starts:layout.starts + len(runs_s)] = runs_s
+    block[layout.ends:layout.ends + len(runs_e)] = runs_e
+    unplaced_p, _, unplaced_m, _ = context.price(block)
     eligible = Counter(c for c in containers if c >= p_min)
     assert unplaced_p == best_fit_unplaced_total_hist(
         _runs(process_bag), eligible
@@ -295,8 +318,8 @@ def test_compiled_packing_equals_oracle(
 # loader: build cache, atomic publication, fallback
 # ----------------------------------------------------------------------
 def test_module_name_tracks_the_source():
-    assert price_kernel.module_name(b"a") == price_kernel.module_name(b"a")
-    assert price_kernel.module_name(b"a") != price_kernel.module_name(b"b")
+    assert ckernel.module_name(b"a") == ckernel.module_name(b"a")
+    assert ckernel.module_name(b"a") != ckernel.module_name(b"b")
 
 
 def _fail(*args, **kwargs):
@@ -304,9 +327,9 @@ def _fail(*args, **kwargs):
 
 
 def test_failed_build_warns_once_and_falls_back(tmp_path, monkeypatch):
-    monkeypatch.setattr(price_kernel, "_compile", _fail)
+    monkeypatch.setattr(ckernel, "_compile", _fail)
     with pytest.warns(RuntimeWarning, match="pure-Python kernel") as caught:
-        assert price_kernel.load(tmp_path) is None
+        assert ckernel.load(tmp_path) is None
     assert len(caught) == 1
     assert not list(tmp_path.glob("*.so")), "a failed build left a module"
     assert not list(tmp_path.glob(".build-*")), "build scratch left behind"
@@ -315,47 +338,59 @@ def test_failed_build_warns_once_and_falls_back(tmp_path, monkeypatch):
 def test_missing_cffi_falls_back(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, "cffi", None)
     with pytest.warns(RuntimeWarning, match="ImportError|ModuleNotFound"):
-        assert price_kernel.load(tmp_path) is None
+        assert ckernel.load(tmp_path) is None
 
 
 def test_unwritable_cache_dir_falls_back(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")
     with pytest.warns(RuntimeWarning):
-        assert price_kernel.load(blocker / "cache") is None
+        assert ckernel.load(blocker / "cache") is None
 
 
-def _design_fingerprints():
-    spec = _cell("pipeline")[0]
-    out = []
-    for name in ("MH", "SA"):
-        strategy = strategy_for_family(
-            name, seed=1, use_cache=True, jobs=1, sa_iterations=60
-        )
-        result = strategy.design(spec)
-        out.append((repr(result.objective), result.design_identity()))
+def _golden_fingerprints():
+    """MH and SA designs on every golden cell (smallest preset per family)."""
+    out = {}
+    for name in families.family_names():
+        family = families.get_family(name)
+        spec = family.build(family.smallest_preset, seed=GOLDEN["seed"]).spec()
+        for strategy in ("MH", "SA"):
+            result = strategy_for_family(
+                strategy, GOLDEN["seed"], True, 1, GOLDEN["sa_iterations"]
+            ).design(spec)
+            out[name, strategy] = (
+                repr(result.objective),
+                result.design_identity(),
+                result.evaluations,
+            )
     return out
 
 
 def test_fallback_objectives_are_byte_identical(tmp_path, monkeypatch):
-    """Searches on the Python fallback return the compiled run's designs."""
-    compiled = _design_fingerprints()
-    monkeypatch.setattr(price_kernel, "_compile", _fail)
-    with pytest.warns(RuntimeWarning):
-        kernel = price_kernel.load(tmp_path)
-    monkeypatch.setattr(price_kernel, "KERNEL", kernel)
-    assert _design_fingerprints() == compiled
+    """With the extension unavailable there is one warning, and MH and SA
+    on the Python kernels return the compiled run's designs on every
+    golden cell."""
+    compiled = _golden_fingerprints()
+    monkeypatch.setattr(ckernel, "_compile", _fail)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kernel = ckernel.load(tmp_path)
+        monkeypatch.setattr(ckernel, "KERNEL", kernel)
+        fallback = _golden_fingerprints()
+    assert kernel is None
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert fallback == compiled
 
 
 @compiled_only
 def test_cached_module_is_reused_without_rebuilding(monkeypatch):
-    monkeypatch.setattr(price_kernel, "_build", _fail)
-    kernel = price_kernel.load()
-    assert kernel is not None and kernel.__name__ == price_kernel.KERNEL.__name__
+    monkeypatch.setattr(ckernel, "_build", _fail)
+    kernel = ckernel.load()
+    assert kernel is not None and kernel.__name__ == ckernel.KERNEL.__name__
 
 
 def _load_in_child(cache_dir: str, results) -> None:
-    kernel = price_kernel.load(Path(cache_dir))
+    kernel = ckernel.load(Path(cache_dir))
     results.put(kernel is not None)
 
 
@@ -377,7 +412,7 @@ def test_concurrent_builds_publish_one_complete_module(tmp_path):
     assert loaded == [True, True]
     assert len(list(tmp_path.glob("*.so"))) == 1
     assert not list(tmp_path.glob(".build-*"))
-    assert price_kernel.load(tmp_path) is not None
+    assert ckernel.load(tmp_path) is not None
 
 
 def test_engine_prices_through_the_dispatcher():

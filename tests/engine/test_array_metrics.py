@@ -53,6 +53,7 @@ from repro.engine.delta import DeltaEvaluator
 from repro.engine.engine import EvaluationEngine
 from repro.engine.evaluation import EvaluatedDesign
 from repro.gen import families
+from repro.sched import ckernel
 from repro.sched.list_scheduler import ListScheduler
 
 
@@ -259,17 +260,18 @@ def _engine_outcomes(spec, design, moves, **kwargs):
         return engine.evaluate_moves(parent, moves)
 
 
-def test_engine_variants_price_identically():
-    """Every engine variant (cache on/off, delta off) prices
-    each child exactly like the object oracle."""
+def test_engine_variants_price_identically(monkeypatch):
+    """Every engine variant (cache on/off, compiled or Python kernels)
+    prices each child exactly like the object oracle."""
     spec, _, design = _cell("uniform-baseline")
     pids = [p.id for p in spec.current.processes]
     moves = list(remap_moves(design.mapping, pids))[:20]
-    for kwargs in (
-        {},
-        {"use_cache": False},
-        {"use_delta": False},
+    for kernel, kwargs in (
+        (ckernel.KERNEL, {}),
+        (ckernel.KERNEL, {"use_cache": False}),
+        (None, {"use_cache": False}),
     ):
+        monkeypatch.setattr(ckernel, "KERNEL", kernel)
         outcomes = _engine_outcomes(spec, design, moves, **kwargs)
         for move, outcome in zip(moves, outcomes):
             assert_matches_oracle(
@@ -358,9 +360,11 @@ class TestLazyDecode:
         return spec, compiled, design, outcome
 
     def test_hot_path_skips_decode_and_columns(self):
+        """The hot path decodes nothing and keeps no state (the compiled
+        pass's block is dropped once priced)."""
         _, _, _, outcome = self._outcome()
         assert outcome._schedule is None
-        assert not outcome._state.columns
+        assert outcome._state is None and outcome.trace is None
 
     def test_lazy_schedule_equals_eager_object_schedule(self):
         spec, _, design, outcome = self._outcome()

@@ -1,12 +1,14 @@
 """Tests for the incremental (delta) evaluation kernel.
 
-The contract under test: for any parent design and any transformation,
-evaluating the child through the delta path produces an outcome
-**bit-identical** to a cold evaluation -- schedule occupancy, metrics,
-validity verdicts, failure reasons, and even the recorded column trace
-(so children chain as parents).  Plus: move footprints, engine/cache
-integration, pool-path determinism, and seeded strategy equivalence
-with delta on/off.
+The runtime engine evaluates every move cold; :mod:`repro.engine.delta`
+stays as library code.  The contract under test: for any parent design
+and any transformation, evaluating the child through the delta path
+produces an outcome **bit-identical** to a cold evaluation -- schedule
+occupancy, metrics, validity verdicts, failure reasons, and even the
+recorded column trace (so children chain as parents).  Plus: move
+footprints, the engine's cold move API against the delta kernel, and
+seeded strategy equivalence between the runtime engine and
+:class:`DeltaEngine`, an engine whose moves the delta kernel serves.
 """
 
 from __future__ import annotations
@@ -31,9 +33,59 @@ from repro.core.transformations import (
 from kernel_oracle import occupancy, trace_identity
 from repro.engine import EvaluationEngine, evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec
-from repro.engine.delta import DeltaEvaluator, DeltaStats
+from repro.core import mapping_heuristic, simulated_annealing
+from repro.engine.delta import DeltaEvaluator
 from repro.gen import families
 from repro.sched.list_scheduler import ListScheduler
+
+
+class DeltaEngine(EvaluationEngine):
+    """The evaluation engine with every move served by the delta kernel.
+
+    Cold evaluations record the column trace, and each move's child is
+    rescheduled from its parent's checkpoints (what the runtime did
+    before moves were evaluated cold).  Cache accounting is the base
+    engine's; ``delta_used`` counts the moves the incremental path
+    served.
+    """
+
+    def __init__(self, spec, **kwargs):
+        super().__init__(spec, **kwargs)
+        self.delta = DeltaEvaluator(self.compiled, self.timings)
+        self.delta_used = 0
+
+    def _solve(self, design):
+        return evaluate_candidate(
+            self.compiled, design, record_trace=True, timings=self.timings
+        )
+
+    def evaluate_move(self, parent, move):
+        return self.evaluate_moves(parent, [move])[0]
+
+    def evaluate_moves(self, parent, moves):
+        self._ensure_open()
+        moves = list(moves)
+        children = [move.apply(parent.design) for move in moves]
+        self.evaluations += len(children)
+
+        def solve(i):
+            outcome, used = self.delta.evaluate_move(
+                parent, moves[i], children[i]
+            )
+            self.delta_used += used
+            return outcome
+
+        if self.cache is None:
+            return [solve(i) for i in range(len(moves))]
+        return self._cached_batch(
+            [self.compiled.signature(child) for child in children], solve
+        )
+
+
+def delta_engines(monkeypatch):
+    """Make MH and SA build :class:`DeltaEngine` instead of the runtime one."""
+    for module in (mapping_heuristic, simulated_annealing):
+        monkeypatch.setattr(module, "EvaluationEngine", DeltaEngine)
 
 
 def column_trace(compiled, outcome):
@@ -214,32 +266,38 @@ class TestDeltaEqualsCold:
 
 class TestEngineMoveAPI:
     def test_evaluate_move_matches_evaluate(self, spec):
-        with EvaluationEngine(spec) as delta_on, EvaluationEngine(
-            spec, use_delta=False
-        ) as delta_off:
-            parent_on = im_parent(spec, delta_on.compiled)
-            moves = systematic_moves(spec, parent_on)
+        """The engine's cold move path equals the delta kernel's outcome
+        and the engine's own evaluate, with plain cache accounting."""
+        with EvaluationEngine(spec) as moves_engine, EvaluationEngine(
+            spec
+        ) as plain:
+            parent = im_parent(spec, moves_engine.compiled)
+            delta = DeltaEvaluator(moves_engine.compiled)
+            moves = systematic_moves(spec, parent)
+            served = 0
             for move in moves:
-                a = delta_on.evaluate_move(parent_on, move)
-                b = delta_off.evaluate(move.apply(parent_on.design))
-                assert (a is None) == (b is None)
+                a = moves_engine.evaluate_move(parent, move)
+                b = plain.evaluate(move.apply(parent.design))
+                c, used = delta.evaluate_move(parent, move)
+                served += used
+                assert (a is None) == (b is None) == (c is None)
                 if a is not None:
-                    assert a.metrics == b.metrics
+                    assert a.metrics == b.metrics == c.metrics
+                    assert occupancy(a.schedule) == occupancy(c.schedule)
+                    assert a.trace is None  # cold outcomes keep no trace
+            assert served > 0  # the delta kernel ran incrementally
             # identical cache accounting on both engines
-            assert delta_on.cache_stats().lookups == delta_off.cache_stats().lookups
-            assert delta_on.cache_stats().hits == delta_off.cache_stats().hits
-            # every cache miss went through the delta path; hits never do
             assert (
-                delta_on.delta_stats().attempts
-                == delta_on.cache_stats().misses
+                moves_engine.cache_stats().lookups
+                == plain.cache_stats().lookups
+                == len(moves)
             )
-            assert delta_on.delta_stats().hits > 0
-            assert delta_off.delta_stats() == DeltaStats(0, 0)
+            assert moves_engine.cache_stats().hits == plain.cache_stats().hits
+            counters = moves_engine.counters()
+            assert counters.delta_hits == counters.delta_fallbacks == 0
 
     def test_evaluate_moves_matches_evaluate_many(self, spec):
-        with EvaluationEngine(spec) as a, EvaluationEngine(
-            spec, use_delta=False
-        ) as b:
+        with EvaluationEngine(spec) as a, EvaluationEngine(spec) as b:
             parent = im_parent(spec, a.compiled)
             moves = systematic_moves(spec, parent)
             moves = moves + moves[:5]  # duplicates exercise the dedup plan
@@ -267,10 +325,10 @@ class TestEngineMoveAPI:
                 if x is not None:
                     assert x.metrics == y.metrics
                     assert occupancy(x.schedule) == occupancy(y.schedule)
-                    # batched outcomes carry the delta attachment too
-                    assert y.trace is not None
-            assert single.delta_stats() == batched.delta_stats()
-            assert batched.delta_stats().hits > 0
+                    # cold outcomes carry no delta attachment
+                    assert x.trace is None and y.trace is None
+            assert single.counters().evaluations == len(moves)
+            assert batched.counters().evaluations == len(moves)
 
     def test_closed_engine_refuses_move_evaluation(self, spec):
         engine = EvaluationEngine(spec)
@@ -283,23 +341,30 @@ class TestEngineMoveAPI:
             engine.evaluate_moves(parent, [move])
 
     def test_traceless_parent_falls_back(self, spec):
+        """Without a parent trace the delta kernel falls back to a cold
+        evaluation, which is what the engine runs for every move."""
         with EvaluationEngine(spec, use_cache=False) as engine:
             parent = im_parent(spec, engine.compiled)
             parent.trace = None
             move = systematic_moves(spec, parent)[0]
             out = engine.evaluate_move(parent, move)
             cold = engine.evaluate(move.apply(parent.design))
-            assert (out is None) == (cold is None)
+            fallback, used = DeltaEvaluator(engine.compiled).evaluate_move(
+                parent, move
+            )
+            assert not used
+            assert (out is None) == (cold is None) == (fallback is None)
             if out is not None:
-                assert out.metrics == cold.metrics
-            assert engine.delta_stats().hits == 0
-            assert engine.delta_stats().fallbacks >= 1
+                assert out.metrics == cold.metrics == fallback.metrics
 
 
 class TestSteepestDescentDelta:
     def test_descent_identical_with_delta_and_cache_off(self, spec):
-        def run(**kwargs):
-            with EvaluationEngine(spec, **kwargs) as evaluator:
+        """The runtime (cold moves) descent equals the delta-served one,
+        with the cache on and off."""
+
+        def run(engine=EvaluationEngine, **kwargs):
+            with engine(spec, **kwargs) as evaluator:
                 parent = im_parent(spec, evaluator.compiled)
                 best = steepest_descent(
                     spec, evaluator, parent, DescentParams(max_iterations=6)
@@ -312,9 +377,9 @@ class TestSteepestDescentDelta:
                 )
 
         reference = run()
-        assert run(use_delta=False) == reference
+        assert run(DeltaEngine) == reference
         assert run(use_cache=False) == reference
-        assert run(use_delta=False, use_cache=False) == reference
+        assert run(DeltaEngine, use_cache=False) == reference
 
 
 # ----------------------------------------------------------------------
@@ -392,28 +457,31 @@ def test_delta_equals_cold_property(family_name, data):
 
 
 # ----------------------------------------------------------------------
-# seeded strategy runs: byte-identical with delta and cache on/off
+# seeded strategy runs: byte-identical on the runtime engine and on
+# DeltaEngine, cache on/off
 # ----------------------------------------------------------------------
 class TestSeededStrategyEquivalence:
     @pytest.mark.parametrize("family_name", ["uniform-baseline", "pipeline"])
-    def test_mh_identical_delta_on_off(self, family_name):
+    def test_mh_identical_delta_on_off(self, family_name, monkeypatch):
         from repro.experiments.runner import design_identity
 
         family = families.get_family(family_name)
         spec = family.build(family.smallest_preset, seed=1).spec()
         reference = design_identity(MappingHeuristic().design(spec))
-        assert (
-            design_identity(MappingHeuristic(use_delta=False).design(spec))
-            == reference
-        )
+        delta_engines(monkeypatch)
+        assert design_identity(MappingHeuristic().design(spec)) == reference
 
-    def test_sa_identical_delta_on_off(self, spec):
+    def test_sa_identical_delta_on_off(self, spec, monkeypatch):
         from repro.experiments.runner import design_identity
 
-        base = SimulatedAnnealing(iterations=120, seed=3)
-        reference = design_identity(base.design(spec))
-        for variant in (
-            SimulatedAnnealing(iterations=120, seed=3, use_delta=False),
-            SimulatedAnnealing(iterations=120, seed=3, use_cache=False),
-        ):
-            assert design_identity(variant.design(spec)) == reference
+        reference = design_identity(
+            SimulatedAnnealing(iterations=120, seed=3).design(spec)
+        )
+        assert design_identity(
+            SimulatedAnnealing(iterations=120, seed=3, use_cache=False)
+            .design(spec)
+        ) == reference
+        delta_engines(monkeypatch)
+        assert design_identity(
+            SimulatedAnnealing(iterations=120, seed=3).design(spec)
+        ) == reference

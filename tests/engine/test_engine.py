@@ -72,7 +72,7 @@ class TestEvaluationEngine:
 class TestAdHocOnEngine:
     def test_ah_unchanged_by_engine_knobs(self, spec):
         plain = AdHocStrategy().design(spec)
-        tuned = AdHocStrategy(use_cache=False, use_delta=False).design(spec)
+        tuned = AdHocStrategy(use_cache=False).design(spec)
         assert plain.valid and tuned.valid
         assert plain.objective == tuned.objective
         assert plain.mapping.as_dict() == tuned.mapping.as_dict()
@@ -144,18 +144,19 @@ class TestLifecycle:
 
 
 def _accounting(engine):
+    counters = engine.counters()
     return (
-        engine.cache_hits,
-        engine.cache_misses,
-        engine.delta_hits,
-        engine.delta_fallbacks,
+        counters.cache_hits,
+        counters.cache_misses,
+        counters.evaluations,
+        counters.delta_hits + counters.delta_fallbacks,
         list(engine.cache._store),
     )
 
 
 class TestBatchEqualsSingles:
     """A batch is exactly the sequence of single calls it replaces --
-    outcomes, cache and delta counters, and resident LRU order -- also
+    outcomes, cache counters, and resident LRU order -- also
     when the cache bound is smaller than the batch, so entries are
     evicted and re-solved inside it."""
 
@@ -182,10 +183,10 @@ class TestBatchEqualsSingles:
             single_accounting = _accounting(single)
         assert _outcomes(batch) == _outcomes(singles)
         assert batch_accounting == single_accounting
-        hits, misses, delta_hits, _, _ = batch_accounting
-        assert hits + misses == len(moves) + 1
+        hits, misses, evaluations, delta_attempts, _ = batch_accounting
+        assert hits + misses == evaluations == len(moves) + 1
         assert misses > len(set(map(repr, moves))) + 1  # evictions re-solved
-        assert delta_hits > 0
+        assert delta_attempts == 0  # moves are evaluated cold
 
     def test_evaluate_many_equals_single_calls(self, spec, neighbourhood, store_kwargs):
         designs = self._repeat(list(neighbourhood))

@@ -105,11 +105,17 @@ class TestScenariosCli:
         assert "hetero-speed" in out
         assert "tiny" in out
 
-    def test_describe_unknown_family_raises(self):
-        from repro.utils.errors import InvalidModelError
-
-        with pytest.raises(InvalidModelError):
+    def test_describe_unknown_family_raises(self, capsys):
+        # Checked at parse time like ``run``: exit 2 with one line that
+        # lists the valid families, no traceback.
+        with pytest.raises(SystemExit) as exc:
             main(["scenarios", "describe", "no-such-family"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        line = err.strip().splitlines()[-1]
+        assert "unknown family 'no-such-family'" in line
+        assert "uniform-baseline" in line and "pipeline" in line
 
     def test_run_family(self, capsys):
         code = main(

@@ -1,14 +1,17 @@
 """The object-kernel oracle the array runtime is checked against.
 
 The runtime evaluates every candidate on the structure-of-arrays core
-(:mod:`repro.sched.arrays` + :mod:`repro.core.array_metrics`).  The
-object kernel -- :meth:`ListScheduler.try_schedule` followed by the
-from-scratch :func:`evaluate_design` -- stays in ``src`` as the
-reference implementation; these helpers run it on one candidate and
-compare a runtime outcome against it.
+(:mod:`repro.sched.arrays` + :mod:`repro.core.array_metrics`), through
+the compiled pass and price over one state block when the extension is
+loaded.  The object kernel -- :meth:`ListScheduler.try_schedule`
+followed by the from-scratch :func:`evaluate_design` -- stays in
+``src`` as the reference implementation; these helpers run it on one
+candidate and compare a runtime outcome against it.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core.metrics import evaluate_design
 from repro.engine.engine import EvaluationEngine
@@ -64,13 +67,36 @@ def oracle(spec, design, record_trace: bool = False):
     return result, evaluate_design(result.schedule, spec.future, spec.weights)
 
 
+def runtime_occupancy(arrays, design):
+    """Busy runs per node and used bytes per slot occurrence of the
+    runtime pass (the compiled block pass when the extension is loaded)."""
+    state = arrays.schedule_design(design)
+    return state.runs_s, state.runs_e, np.asarray(state.bus_used).tolist()
+
+
+def object_occupancy(arrays, schedule):
+    """:func:`runtime_occupancy`'s shape for an object schedule."""
+    runs_s, runs_e = [], []
+    for node_id in arrays.node_ids:
+        pairs = schedule.busy_pairs(node_id)
+        runs_s.append([start for start, _ in pairs])
+        runs_e.append([end for _, end in pairs])
+    used = [0] * arrays.n_occ
+    for occ in schedule.bus.all_entries():
+        node = arrays.node_index[occ.node_id]
+        used[arrays.occ_base[node] + occ.round_index] += occ.size
+    return runs_s, runs_e, used
+
+
 def assert_matches_oracle(spec, design, outcome, arrays=None, label=""):
     """``outcome`` (an ``EvaluatedDesign`` or ``None``) equals the oracle.
 
     Validity, the full schedule occupancy and every metric value must
-    match.  With ``arrays`` (the candidate's :class:`ArraySpec`) and a
-    recorded outcome trace, the decoded column trace must also equal
-    the object kernel's :class:`ScheduleTrace`.
+    match, and so must the runtime pass's own final state (busy runs and
+    slot bytes, read before any decode).  With ``arrays`` (the
+    candidate's :class:`ArraySpec`) and a recorded outcome trace, the
+    decoded column trace must also equal the object kernel's
+    :class:`ScheduleTrace`.
     """
     result, metrics = oracle(
         spec, design, record_trace=arrays is not None
@@ -78,6 +104,10 @@ def assert_matches_oracle(spec, design, outcome, arrays=None, label=""):
     assert (outcome is None) == (not result.success), label
     if outcome is None:
         return
+    runtime = outcome._compiled.arrays
+    assert runtime_occupancy(runtime, design) == object_occupancy(
+        runtime, result.schedule
+    ), label
     assert occupancy(outcome.schedule) == occupancy(result.schedule), label
     assert outcome.metrics == metrics, label
     if arrays is not None and outcome.trace is not None:

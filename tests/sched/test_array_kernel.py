@@ -38,6 +38,7 @@ from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.delta import DeltaEvaluator
 from repro.gen import families
 from repro.gen.scenario import ScenarioParams, build_scenario
+from repro.sched import ckernel
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.trace import heap_key
 
@@ -229,7 +230,7 @@ class TestSeededStrategyEquivalence:
     """The array runtime against the object oracle over whole searches:
     every candidate a seeded run evaluates is rescheduled and re-priced
     by the object kernel, and the design stays the same with the cache
-    or incremental evaluation off."""
+    off and on the Python kernels (no compiled extension)."""
 
     @pytest.mark.parametrize("family_name", ["uniform-baseline", "pipeline"])
     def test_mh_identical_across_cores(self, family_name, monkeypatch):
@@ -240,11 +241,12 @@ class TestSeededStrategyEquivalence:
         seen = record_candidates(monkeypatch)
         reference = design_identity(MappingHeuristic().design(spec))
         assert_search_matches_oracle(spec, seen)
-        for variant in (
-            MappingHeuristic(use_cache=False),
-            MappingHeuristic(use_delta=False),
-        ):
-            assert design_identity(variant.design(spec)) == reference
+        assert (
+            design_identity(MappingHeuristic(use_cache=False).design(spec))
+            == reference
+        )
+        monkeypatch.setattr(ckernel, "KERNEL", None)
+        assert design_identity(MappingHeuristic().design(spec)) == reference
 
     def test_sa_identical_across_cores(self, spec, monkeypatch):
         from repro.experiments.runner import design_identity
@@ -254,10 +256,9 @@ class TestSeededStrategyEquivalence:
             SimulatedAnnealing(iterations=120, seed=3).design(spec)
         )
         assert_search_matches_oracle(spec, seen)
+        monkeypatch.setattr(ckernel, "KERNEL", None)
         assert design_identity(
-            SimulatedAnnealing(
-                iterations=120, seed=3, use_delta=False
-            ).design(spec)
+            SimulatedAnnealing(iterations=120, seed=3).design(spec)
         ) == reference
 
 

@@ -9,10 +9,12 @@ full design identity -- mapping, priorities, message delays, objective
 reproduce every cell exactly; any intentional change to search
 behavior must regenerate the goldens and say so in the diff.
 
-The cache-off and delta-off equivalence for every family is covered by
+The cache-off equivalence for every family is covered by
 ``run_family_smoke`` (the CI `scenarios smoke` gate); here one family
-re-checks the delta-off axis against the golden record itself so the
-tier-1 suite alone pins the full contract end-to-end.
+re-checks the cache-off axis against the golden record itself so the
+tier-1 suite alone pins the full contract end-to-end.  The pure-Python
+kernels (no compiled extension) are checked against every golden cell
+in ``tests/core/test_price_kernel.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 STRATEGIES = ("AH", "MH", "SA")
 
 #: The family whose golden cell is additionally re-checked with the
-#: delta kernel off.
+#: cache off.
 CROSS_MODE_FAMILY = "uniform-baseline"
 
 
@@ -78,19 +80,18 @@ def test_matches_pre_refactor_design(specs, family_name, strategy):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-# ``jobs`` is strategy_for_family's positional slot, which accepts only 1.
-@pytest.mark.parametrize("label,jobs,use_delta", [("delta-off", 1, False)])
-def test_golden_holds_across_engine_modes(
-    specs, strategy, label, jobs, use_delta
-):
+# Every candidate solved cold and uncached.  The id is the one this row
+# had when it switched the (since removed) delta kernel off; moves are
+# now always evaluated cold.
+@pytest.mark.parametrize("use_cache", [pytest.param(False, id="delta-off-1-False")])
+def test_golden_holds_across_engine_modes(specs, strategy, use_cache):
     _, cell = golden_cell(CROSS_MODE_FAMILY)
     result = strategy_for_family(
         strategy,
         GOLDEN["seed"],
-        True,
-        jobs,
+        use_cache,
+        1,
         GOLDEN["sa_iterations"],
-        use_delta,
     ).design(specs[CROSS_MODE_FAMILY])
     assert result.valid
     assert observed_identity(result) == cell[strategy]

@@ -74,12 +74,14 @@ class TestDeterminism:
         assert again.evaluations == race.evaluations
 
     def test_delta_off_does_not_change_the_race(self, spec, race):
+        # The race evaluates moves cold (there is no delta switch any
+        # more); re-raced with the shared cache off, the winner holds.
         cold = run_portfolio(
             spec,
             ("AH", "MH", "SA"),
             seed=1,
             sa_iterations=SA_ITERS,
-            use_delta=False,
+            use_cache=False,
         )
         assert design_identity(cold.best) == design_identity(race.best)
 
