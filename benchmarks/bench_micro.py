@@ -21,7 +21,7 @@ from repro.core.binpack import best_fit
 from repro.core.initial_mapping import InitialMapper
 from repro.core.metrics import evaluate_design
 from repro.core.transformations import CandidateDesign
-from repro.engine import CompiledSpec, EvaluationEngine
+from repro.engine import CompiledSpec, EngineConfig, EvaluationEngine
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.priorities import hcp_priorities
 
@@ -84,7 +84,7 @@ def test_compiled_list_scheduling(benchmark, prepared):
 def test_engine_first_evaluation(benchmark, prepared, candidate):
     """One cold engine evaluation (schedule + metrics, cache miss)."""
     scenario, _, _, _ = prepared
-    engine = EvaluationEngine(scenario.spec(), use_cache=False)
+    engine = EvaluationEngine(scenario.spec(), EngineConfig(use_cache=False))
 
     out = benchmark(lambda: engine.evaluate(candidate))
     assert out is not None
@@ -98,7 +98,7 @@ def test_engine_cached_reevaluation(benchmark, prepared, candidate):
     search loops.
     """
     scenario, _, _, _ = prepared
-    engine = EvaluationEngine(scenario.spec(), use_cache=True)
+    engine = EvaluationEngine(scenario.spec(), EngineConfig())
     assert engine.evaluate(candidate) is not None  # warm the cache
 
     out = benchmark(lambda: engine.evaluate(candidate))

@@ -63,6 +63,7 @@ from repro.analysis import DesignReport, analyze_design, render_report
 from repro.engine import (
     CacheStats,
     CompiledSpec,
+    EngineConfig,
     EvaluatedDesign,
     EvaluationCache,
     EvaluationEngine,
@@ -88,6 +89,7 @@ __all__ = [
     "BusSchedule",
     "CacheStats",
     "CompiledSpec",
+    "EngineConfig",
     "EvaluatedDesign",
     "EvaluationCache",
     "EvaluationEngine",

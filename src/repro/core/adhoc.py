@@ -20,23 +20,19 @@ from typing import Optional
 
 from repro.core.initial_mapping import InitialMapper
 from repro.core.strategy import DesignResult, DesignSpec, timed
-from repro.engine.engine import EvaluationEngine
+from repro.engine.compiled_spec import CompiledSpec
 from repro.search.budget import Budget
 
 @dataclass
 class AdHocStrategy:
     """Validity-only design: Initial Mapping with no optimization.
 
-    ``use_cache``, ``cache_store``/``cache_path`` and ``budget``
-    exist so every strategy shares one
-    construction signature (the experiment runner passes them
-    uniformly); AH performs a single evaluation, so none of them
-    changes its behavior.
+    AH opens no evaluation engine, so it takes no engine settings.
+    ``budget`` exists so every strategy accepts one (the experiment
+    runner passes it uniformly); AH performs a single evaluation, so
+    it never changes its behavior.
     """
 
-    use_cache: bool = True
-    cache_store: str = "memory"
-    cache_path: Optional[str] = None
     budget: Optional[Budget] = None
 
     name = "AH"
@@ -47,8 +43,7 @@ class AdHocStrategy:
     @timed
     def design(self, spec: DesignSpec) -> DesignResult:
         """Run IM once and report its design as-is."""
-        with EvaluationEngine(spec, use_cache=False) as engine:
-            return self._design(spec, engine.compiled)
+        return self._design(spec, CompiledSpec(spec))
 
     def _design(self, spec: DesignSpec, compiled) -> DesignResult:
         from repro.core.metrics import evaluate_design

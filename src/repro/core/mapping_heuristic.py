@@ -38,8 +38,7 @@ from repro.core.improvement import DescentParams, descent_loop
 from repro.core.initial_mapping import InitialMapper
 from repro.core.strategy import DesignResult, DesignSpec, timed
 from repro.core.transformations import CandidateDesign
-from repro.engine.cache import DEFAULT_MAX_ENTRIES
-from repro.engine.engine import EvaluationEngine
+from repro.engine.engine import EngineConfig, EvaluationEngine
 from repro.search.budget import Budget
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused
 from repro.search.loop import EvalRequest, drive
@@ -61,11 +60,10 @@ class MappingHeuristic:
         A move must lower the objective by more than this to be taken.
     use_message_moves:
         Whether bus-slack (message-delay) moves are generated.
-    use_cache:
-        Memoize candidate evaluations in the engine (neighbourhoods of
-        consecutive descent iterations overlap heavily).
-    max_cache_entries:
-        LRU bound of the engine's cache (``None`` = unbounded).
+    engine:
+        Evaluation-engine settings (:class:`EngineConfig`); the cache
+        pays off because the neighbourhoods of consecutive descent
+        iterations overlap heavily.
     budget:
         Optional external search budget, combined (``&``) with the
         ``max_iterations`` step cap -- the tighter limit wins on every
@@ -77,10 +75,7 @@ class MappingHeuristic:
     max_iterations: int = 64
     min_improvement: float = 1e-9
     use_message_moves: bool = True
-    use_cache: bool = True
-    max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES
-    cache_store: str = "memory"
-    cache_path: Optional[str] = None
+    engine: EngineConfig = EngineConfig()
     budget: Optional[Budget] = None
 
     name = "MH"
@@ -91,13 +86,7 @@ class MappingHeuristic:
     @timed
     def design(self, spec: DesignSpec) -> DesignResult:
         """Run IM, then steepest-descent improvement of the objective."""
-        with EvaluationEngine(
-            spec,
-            use_cache=self.use_cache,
-            max_cache_entries=self.max_cache_entries,
-            cache_store=self.cache_store,
-            cache_path=self.cache_path,
-        ) as engine:
+        with EvaluationEngine(spec, self.engine) as engine:
             result = drive(self.search_program(spec, engine.compiled), engine)
             if result.valid:
                 result.record_engine_stats(engine)

@@ -35,8 +35,7 @@ from repro.core.improvement import descent_loop
 from repro.core.initial_mapping import InitialMapper
 from repro.core.strategy import DesignResult, DesignSpec, timed
 from repro.core.transformations import CandidateDesign
-from repro.engine.cache import DEFAULT_MAX_ENTRIES
-from repro.engine.engine import EvaluationEngine
+from repro.engine.engine import EngineConfig, EvaluationEngine
 from repro.search.acceptors import AcceptAny, MetropolisAcceptor
 from repro.search.budget import Budget
 from repro.search.checkpoint import (
@@ -79,11 +78,10 @@ class SimulatedAnnealing:
         :mod:`repro.core.improvement`, walking to the bottom of the
         basin SA found.  This keeps the reference "near optimal" even
         with moderate iteration budgets.
-    use_cache:
-        Memoize candidate evaluations in the engine; annealing revisits
-        rejected design points constantly, so hit rates are high.
-    max_cache_entries:
-        LRU bound of the engine's cache (``None`` = unbounded).
+    engine:
+        Evaluation-engine settings (:class:`EngineConfig`); the cache
+        pays off because annealing revisits rejected design points
+        constantly.
     budget:
         Optional external search budget, combined (``&``) into *each*
         phase's own cap (probe, walk, each polish descent) -- e.g.
@@ -99,10 +97,7 @@ class SimulatedAnnealing:
     probe_moves: int = 24
     seed: SeedLike = 0
     polish: bool = True
-    use_cache: bool = True
-    max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES
-    cache_store: str = "memory"
-    cache_path: Optional[str] = None
+    engine: EngineConfig = EngineConfig()
     budget: Optional[Budget] = None
 
     name = "SA"
@@ -114,13 +109,7 @@ class SimulatedAnnealing:
     @timed
     def design(self, spec: DesignSpec) -> DesignResult:
         """Anneal from the Initial Mapping and return the best design seen."""
-        with EvaluationEngine(
-            spec,
-            use_cache=self.use_cache,
-            max_cache_entries=self.max_cache_entries,
-            cache_store=self.cache_store,
-            cache_path=self.cache_path,
-        ) as engine:
+        with EvaluationEngine(spec, self.engine) as engine:
             result = drive(self.search_program(spec, engine.compiled), engine)
             if result.valid:
                 result.record_engine_stats(engine)

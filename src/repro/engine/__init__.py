@@ -19,7 +19,8 @@ This package separates problem *construction* from repeated *solving*:
   trace checkpoints, bit-identical to a cold evaluation (library code:
   the engine evaluates moves cold);
 * :mod:`~repro.engine.engine` -- :class:`EvaluationEngine`, composing
-  the above; every strategy's inner loop.
+  the above; every strategy's inner loop, configured by one frozen
+  :class:`EngineConfig`.
 
 See DESIGN.md at the repository root for the layer diagram and the
 engine contracts.
@@ -28,7 +29,7 @@ engine contracts.
 from repro.engine.cache import CacheStats, EvaluationCache
 from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.delta import DeltaEvaluator
-from repro.engine.engine import EngineCounters, EvaluationEngine
+from repro.engine.engine import EngineConfig, EngineCounters, EvaluationEngine
 from repro.engine.evaluation import EvaluatedDesign, evaluate_candidate
 from repro.engine.store import (
     MemoryResultStore,
@@ -42,6 +43,7 @@ __all__ = [
     "CacheStats",
     "CompiledSpec",
     "DeltaEvaluator",
+    "EngineConfig",
     "EngineCounters",
     "EvaluatedDesign",
     "EvaluationCache",

@@ -8,6 +8,10 @@ It owns
 * an optional :class:`~repro.engine.cache.EvaluationCache` (memoized
   solving).
 
+Its settings travel as one frozen :class:`EngineConfig`, built once
+(by the CLI, or by a caller's defaults) and handed down unchanged
+through the experiment runner, the strategies and the portfolio races.
+
 Every miss -- a move's child included -- is solved cold, in process,
 by :func:`~repro.engine.evaluation.evaluate_candidate`: the compiled
 pass and the compiled price over one state block cost less than the
@@ -19,6 +23,7 @@ use it.  Parallelism lives one level up, in the sharded portfolio race
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence
 
 from repro.engine.cache import DEFAULT_MAX_ENTRIES, CacheStats, EvaluationCache
@@ -35,6 +40,52 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.strategy import DesignSpec
     from repro.core.transformations import CandidateDesign, Transformation
     from repro.sched.schedule import SystemSchedule
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """The evaluation engine's settings, validated at construction.
+
+    Attributes
+    ----------
+    use_cache:
+        Memoize evaluation outcomes (including invalid verdicts).
+    cache_store:
+        Result-store backend: ``"memory"`` (the in-process LRU) or
+        ``"sqlite"`` (persistent across processes and runs; see
+        :mod:`repro.engine.store`).  Results are byte-identical either
+        way; this is the CLI's ``--cache-store`` switch.
+    cache_path:
+        Database file of the sqlite backend (required with
+        ``cache_store="sqlite"``, ignored otherwise).
+
+    Raises
+    ------
+    ValueError
+        For an unknown store name, or the sqlite store without a path.
+    """
+
+    use_cache: bool = True
+    cache_store: str = "memory"
+    cache_path: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.cache_store not in ("memory", "sqlite"):
+            raise ValueError(
+                f"unknown cache_store {self.cache_store!r}; "
+                "choose 'memory' or 'sqlite'"
+            )
+        if self.cache_store == "sqlite" and self.cache_path is None:
+            raise ValueError(
+                "cache_store='sqlite' requires a cache_path, the database "
+                "file the results persist to (on the command line: "
+                "--cache-store sqlite requires --cache-path)"
+            )
+
+    @property
+    def persistent(self) -> bool:
+        """Whether the engine writes its results to a sqlite store."""
+        return self.use_cache and self.cache_store == "sqlite"
 
 
 class EngineCounters(NamedTuple):
@@ -88,20 +139,12 @@ class EvaluationEngine:
     ----------
     spec:
         The design problem; compiled once at construction.
-    use_cache:
-        Memoize evaluation outcomes (including invalid verdicts).
+    config:
+        Cache on/off and the result-store backend (:class:`EngineConfig`).
     max_cache_entries:
         LRU bound of the cache (default
         :data:`repro.engine.cache.DEFAULT_MAX_ENTRIES`; ``None`` =
         unbounded).
-    cache_store:
-        Cache storage backend: ``"memory"`` (the historical in-process
-        LRU) or ``"sqlite"`` (persistent across processes and runs;
-        see :mod:`repro.engine.store`).  Results are byte-identical
-        either way; this is the CLI's ``--cache-store`` switch.
-    cache_path:
-        Database file of the sqlite backend (required with
-        ``cache_store="sqlite"``, ignored otherwise).
     store_read_only:
         Open the sqlite backend as a read-only shard view (distributed
         racing): warm rows are served from the database, new rows stay
@@ -113,19 +156,17 @@ class EvaluationEngine:
     def __init__(
         self,
         spec: "DesignSpec",
-        use_cache: bool = True,
+        config: EngineConfig = EngineConfig(),
+        *,
         max_cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-        cache_store: str = "memory",
-        cache_path: Optional[str] = None,
         store_read_only: bool = False,
     ):
         self.spec = spec
         self.compiled = CompiledSpec(spec)
         self.cache: Optional[EvaluationCache] = None
-        if use_cache:
+        if config.use_cache:
             backend = make_store(
-                cache_store,
-                cache_path,
+                config,
                 self.compiled,
                 max_cache_entries,
                 read_only=store_read_only,

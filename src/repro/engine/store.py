@@ -30,7 +30,9 @@ parent's commit boundary, so sharded races stay deterministic.
 **Degradation.**  Corruption, permission and schema-version problems
 never take the run down: the store warns (``RuntimeWarning``) and
 continues memory-only, i.e. with exactly the semantics of
-:class:`MemoryResultStore`.  Loud, not fatal.
+:class:`MemoryResultStore`.  Loud, not fatal.  A database that holds
+tables but no store schema belongs to some other program: the store
+degrades the same way and leaves the file untouched.
 
 Layering: this module sits in ``engine`` and therefore imports the
 ``serialize`` codecs (a later layer) lazily, inside functions -- the
@@ -63,6 +65,7 @@ from repro.engine.evaluation import EvaluatedDesign
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.compiled_spec import CompiledSpec
+    from repro.engine.engine import EngineConfig
 
 #: Layout/encoding version of the sqlite schema.  A database written by
 #: a different version degrades loudly to memory-only instead of being
@@ -230,8 +233,8 @@ class SqliteResultStore:
     Parameters
     ----------
     path:
-        Database file.  Created (with schema) when missing, unless
-        ``read_only``.
+        Database file.  Created (with schema) when missing or empty,
+        unless ``read_only``.
     compiled:
         The compiled problem store rows belong to; required to decode
         ``b"E"`` rows back into :class:`EvaluatedDesign` objects and to
@@ -322,9 +325,16 @@ class SqliteResultStore:
             else:
                 conn = sqlite3.connect(self.path)
             try:
+                version = self._schema_version(conn)
+                if version is None and self._has_tables(conn):
+                    # Another program's database: adding our tables to
+                    # it (or switching its journal mode) would alter a
+                    # file this store does not own.
+                    conn.close()
+                    self._degrade("not a result store")
+                    return None
                 conn.execute("PRAGMA journal_mode=WAL")
                 conn.execute("PRAGMA synchronous=NORMAL")
-                version = self._schema_version(conn)
                 if version is None and not self.read_only:
                     conn.execute(
                         "CREATE TABLE IF NOT EXISTS meta ("
@@ -359,6 +369,13 @@ class SqliteResultStore:
             return None
         finally:
             self.open_ns += time.perf_counter_ns() - start
+
+    @staticmethod
+    def _has_tables(conn: sqlite3.Connection) -> bool:
+        row = conn.execute(
+            "SELECT 1 FROM sqlite_master WHERE type = 'table' LIMIT 1"
+        ).fetchone()
+        return row is not None
 
     @staticmethod
     def _schema_version(conn: sqlite3.Connection) -> Optional[int]:
@@ -632,36 +649,29 @@ class SqliteResultStore:
 
 
 def make_store(
-    cache_store: str,
-    cache_path: Optional[Union[str, Path]],
+    config: "EngineConfig",
     compiled: Optional["CompiledSpec"],
     max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
     read_only: bool = False,
 ) -> "ResultStore":
-    """Build the backend named by the ``--cache-store`` switch.
+    """Build the backend an :class:`~repro.engine.engine.EngineConfig` names.
 
-    ``read_only`` builds the shard-engine view of a sqlite store: a
-    read-only connection (never competing for the single rw lock) that
-    buffers its new rows for the parent to drain and persist.  The
-    memory backend has no file to protect and ignores the flag.
+    The config validated the store name and the sqlite path when it
+    was built.  ``read_only`` builds the shard-engine view of a sqlite
+    store: a read-only connection (never competing for the single rw
+    lock) that buffers its new rows for the parent to drain and
+    persist.  The memory backend has no file to protect and ignores
+    the flag.
     """
-    if cache_store == "memory":
-        return MemoryResultStore(max_entries)
-    if cache_store == "sqlite":
-        if cache_path is None:
-            raise ValueError(
-                "cache_store='sqlite' requires a cache_path (the "
-                "database file the results persist to)"
-            )
+    if config.cache_store == "sqlite":
+        assert config.cache_path is not None, "EngineConfig checks the path"
         return SqliteResultStore(
-            cache_path,
+            config.cache_path,
             compiled=compiled,
             max_entries=max_entries,
             read_only=read_only,
         )
-    raise ValueError(
-        f"unknown cache_store {cache_store!r}; choose 'memory' or 'sqlite'"
-    )
+    return MemoryResultStore(max_entries)
 
 
 __all__ = [

@@ -33,6 +33,7 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
+from repro.engine.engine import EngineConfig
 from repro.experiments.fig_future import fig_future, render as render_future
 from repro.experiments.fig_quality import fig_quality, render as render_quality
 from repro.experiments.fig_runtime import fig_runtime, render as render_runtime
@@ -44,6 +45,7 @@ from repro.experiments.runner import (
     stage_statistics,
     store_statistics,
     design_identity,
+    family_strategy,
     make_budget,
     oracle_failures,
     parse_strategy_name,
@@ -51,16 +53,17 @@ from repro.experiments.runner import (
     run_family_matrix,
     run_family_smoke,
     run_portfolio,
-    strategy_for_family,
 )
 from repro.gen import families
 
 
-def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+def _build_config(
+    args: argparse.Namespace, engine: EngineConfig
+) -> ExperimentConfig:
     config = (
         ExperimentConfig.paper() if args.paper_scale else ExperimentConfig()
     )
-    overrides = {}
+    overrides = {"engine": engine}
     if args.sizes:
         overrides["current_sizes"] = tuple(args.sizes)
     if args.seeds:
@@ -69,19 +72,13 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["n_existing"] = args.existing
     if args.sa_iterations:
         overrides["sa_iterations"] = args.sa_iterations
-    if getattr(args, "cache_store", None):
-        overrides["cache_store"] = args.cache_store
-    if getattr(args, "cache_path", None):
-        overrides["cache_path"] = args.cache_path
     if args.budget_evals is not None:
         overrides["budget_evaluations"] = args.budget_evals
     if args.budget_seconds is not None:
         overrides["budget_seconds"] = args.budget_seconds
     if args.patience is not None:
         overrides["budget_patience"] = args.patience
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    return replace(config, **overrides)
 
 
 def _rate_cell(numerator: int, denominator: int) -> str:
@@ -184,7 +181,7 @@ def _family(value: str) -> str:
 
 
 def _strategy(value: str) -> str:
-    """A strategy name ``strategy_for_family`` accepts (``SA@k`` too)."""
+    """A strategy name ``family_strategy`` accepts (``SA@k`` too)."""
     try:
         parse_strategy_name(value)
     except ValueError as exc:
@@ -260,7 +257,7 @@ def _scenarios_describe(name: str) -> str:
     return families.get_family(name).describe()
 
 
-def _scenarios_run(args: argparse.Namespace) -> int:
+def _scenarios_run(args: argparse.Namespace, engine: EngineConfig) -> int:
     family = families.get_family(args.family)
     scenario = family.build(args.preset, seed=args.seed)
     if args.save:
@@ -273,15 +270,8 @@ def _scenarios_run(args: argparse.Namespace) -> int:
     rows = []
     stage_lines = []
     for name in args.strategies:
-        strategy = strategy_for_family(
-            name,
-            args.seed,
-            not args.no_cache,
-            1,
-            args.sa_iterations,
-            budget=budget,
-            cache_store=args.cache_store,
-            cache_path=args.cache_path,
+        strategy = family_strategy(
+            name, args.seed, args.sa_iterations, engine, budget
         )
         result = strategy.design(spec)
         stage_lines.append(
@@ -289,7 +279,7 @@ def _scenarios_run(args: argparse.Namespace) -> int:
             f"metrics {result.metrics_ns / 1e6:.1f} ms, "
             f"decode {result.decode_ns / 1e6:.1f} ms"
         )
-        if args.cache_store != "memory":
+        if engine.cache_store != "memory":
             stage_lines.append(
                 f"  {name}: store {result.store_hits} hits / "
                 f"{result.store_misses} misses / "
@@ -345,7 +335,7 @@ def _portfolio_identity(result) -> tuple:
     return (result.winner.name,) + design_identity(result.best)
 
 
-def _scenarios_portfolio(args: argparse.Namespace) -> int:
+def _scenarios_portfolio(args: argparse.Namespace, engine: EngineConfig) -> int:
     family = families.get_family(args.family)
     scenario = family.build(args.preset, seed=args.seed)
     spec = scenario.spec()
@@ -371,8 +361,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             sa_iterations=args.sa_iterations,
             member_budget=member_budget,
             shared_budget=shared_budget,
-            cache_store=args.cache_store,
-            cache_path=args.cache_path,
+            engine=engine,
             shards=args.shards if shards is None else shards,
             elastic=args.elastic if elastic is None else elastic,
         )
@@ -439,7 +428,7 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
             f"  events: {steals} steals, {checkpoints} checkpoints, "
             f"{result.respawns} respawns"
         )
-    if args.cache_store != "memory":
+    if engine.cache_store != "memory":
         print(
             f"store: {result.store_hits} hits, {result.store_misses} "
             f"misses, {result.store_writes} writes "
@@ -499,15 +488,14 @@ def _scenarios_portfolio(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scenarios_sweep(args: argparse.Namespace) -> int:
+def _scenarios_sweep(args: argparse.Namespace, engine: EngineConfig) -> int:
     records = run_family_matrix(
         family_names=args.families,
         preset=args.preset,
         seeds=tuple(range(1, args.seeds + 1)),
         strategies=tuple(args.strategies),
         sa_iterations=args.sa_iterations,
-        cache_store=args.cache_store,
-        cache_path=args.cache_path,
+        engine=engine,
         budget=make_budget(
             args.budget_evals, args.budget_seconds, args.patience
         ),
@@ -544,13 +532,12 @@ def _scenarios_sweep(args: argparse.Namespace) -> int:
     return 0 if all(r.result.valid for r in records) else 1
 
 
-def _scenarios_smoke(args: argparse.Namespace) -> int:
+def _scenarios_smoke(args: argparse.Namespace, engine: EngineConfig) -> int:
     results = run_family_smoke(
         family_names=args.families,
         seed=args.seed,
         sa_iterations=args.sa_iterations,
-        cache_store=args.cache_store,
-        cache_path=args.cache_path,
+        engine=engine,
         verbose=args.verbose,
     )
     rows = []
@@ -575,7 +562,7 @@ def _scenarios_smoke(args: argparse.Namespace) -> int:
             title="Scenario-family smoke sweep (smallest preset per family)",
         )
     )
-    if args.cache_store != "memory":
+    if engine.cache_store != "memory":
         # Stable per-(family, strategy) design fingerprints: the CI
         # warm-restart gate diffs this block across two runs against
         # the same store path to assert byte-identical designs.
@@ -603,16 +590,7 @@ def _scenarios_smoke(args: argparse.Namespace) -> int:
     return 0
 
 
-def _handle_scenarios(args: argparse.Namespace) -> int:
-    if (
-        getattr(args, "cache_store", "memory") == "sqlite"
-        and not getattr(args, "cache_path", None)
-    ):
-        print(
-            "error: --cache-store sqlite requires --cache-path",
-            file=sys.stderr,
-        )
-        return 2
+def _handle_scenarios(args: argparse.Namespace, engine: EngineConfig) -> int:
     if args.action == "list":
         print(_scenarios_list())
         return 0
@@ -620,12 +598,12 @@ def _handle_scenarios(args: argparse.Namespace) -> int:
         print(_scenarios_describe(args.family))
         return 0
     if args.action == "run":
-        return _scenarios_run(args)
+        return _scenarios_run(args, engine)
     if args.action == "sweep":
-        return _scenarios_sweep(args)
+        return _scenarios_sweep(args, engine)
     if args.action == "portfolio":
-        return _scenarios_portfolio(args)
-    return _scenarios_smoke(args)
+        return _scenarios_portfolio(args, engine)
+    return _scenarios_smoke(args, engine)
 
 
 def _add_scenarios_parser(subparsers) -> None:
@@ -850,7 +828,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     figure_options.add_argument(
         "--paper-scale",
         action="store_true",
-        help="use the paper's workload sizes (slow: hours of SA)",
+        help=(
+            "use the paper's workload sizes (slow: fig-quality took "
+            "4 min 42 s on 2 cores)"
+        ),
     )
     figure_options.add_argument(
         "--sizes", type=int, nargs="+", help="current-application sizes"
@@ -902,10 +883,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     preset_error = _check_preset(args)
     if preset_error is not None:
         parser.error(preset_error)
+    try:
+        engine = EngineConfig(
+            use_cache=not getattr(args, "no_cache", False),
+            cache_store=getattr(args, "cache_store", "memory"),
+            cache_path=getattr(args, "cache_path", None),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "scenarios":
-        return _handle_scenarios(args)
+        return _handle_scenarios(args, engine)
 
-    config = _build_config(args)
+    config = _build_config(args, engine)
     if args.command in ("fig-quality", "fig-runtime", "all"):
         records = run_comparison(config, verbose=args.verbose)
         if args.command in ("fig-quality", "all"):

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.metrics import ObjectiveWeights, evaluate_design
 from repro.core.strategy import DesignResult, DesignSpec, make_strategy
 from repro.engine.cache import CacheStats
+from repro.engine.engine import EngineConfig
 from repro.gen.scenario import Scenario, ScenarioParams, build_scenario
 from repro.gen import families as families_module
 from repro.search.budget import Budget
@@ -40,20 +41,18 @@ class ExperimentConfig:
 
     The defaults run the full suite in minutes on a laptop; the
     ``paper_scale`` preset (see :meth:`paper`) restores the paper's
-    workload sizes at the cost of hours of SA runtime.
+    workload sizes (``fig-quality --paper-scale`` took 4 min 42 s on
+    2 cores).
     """
 
     current_sizes: Tuple[int, ...] = (10, 20, 30)
     n_existing: int = 60
     seeds: Tuple[int, ...] = (1, 2, 3)
     sa_iterations: int = 1200
-    #: Result-store backend of every strategy's evaluation engine:
-    #: ``"memory"`` (process-local LRU) or ``"sqlite"`` (persistent
-    #: database at ``cache_path``, warm across runs).  The CLI's
-    #: ``--cache-store`` / ``--cache-path`` switches.  Results are
-    #: byte-identical either way.
-    cache_store: str = "memory"
-    cache_path: Optional[str] = None
+    #: Settings of every strategy's evaluation engine (the CLI's
+    #: ``--cache-store`` / ``--cache-path`` switches).  Results are
+    #: byte-identical for any of them.
+    engine: EngineConfig = EngineConfig()
     #: Per-strategy search budget (``None`` on every axis = the
     #: strategies' own caps only).  Evaluation/step/patience budgets
     #: cut seeded runs at exact reproducible points; wall-clock budgets
@@ -167,7 +166,10 @@ def run_comparison(
                 continue
             results: Dict[str, DesignResult] = {}
             for name in strategies:
-                strategy = _build(name, config, seed)
+                strategy = family_strategy(
+                    name, seed, config.sa_iterations, config.engine,
+                    config.search_budget(),
+                )
                 results[name] = strategy.design(scenario.spec(config.weights))
             record = ComparisonRecord(size, seed, scenario, results)
             records.append(record)
@@ -180,26 +182,6 @@ def run_comparison(
                 )
                 print(f"size={size} seed={seed}: {line} [{cache}]")
     return records
-
-
-def _build(name: str, config: ExperimentConfig, seed: int):
-    """Instantiate a strategy with experiment-appropriate parameters."""
-    budget = config.search_budget()
-    if name.upper() == "SA":
-        return make_strategy(
-            "SA",
-            iterations=config.sa_iterations,
-            seed=seed * 7919 + 13,
-            cache_store=config.cache_store,
-            cache_path=config.cache_path,
-            budget=budget,
-        )
-    return make_strategy(
-        name,
-        cache_store=config.cache_store,
-        cache_path=config.cache_path,
-        budget=budget,
-    )
 
 
 def cache_statistics(
@@ -355,11 +337,6 @@ class FamilySmokeResult:
     def ok(self) -> bool:
         return not self.failures
 
-    @property
-    def store_hit_rate(self) -> float:
-        probes = self.store_hits + self.store_misses
-        return self.store_hits / probes if probes else 0.0
-
 
 def design_identity(result: DesignResult):
     """Canonical identity of a design (see
@@ -469,42 +446,57 @@ def strategy_for_family(
     cache_store: str = "memory",
     cache_path: Optional[str] = None,
 ):
-    """Instantiate a strategy for a family run (shared with the CLI).
+    """Instantiate a family-run strategy from loose engine settings.
 
-    ``name`` is parsed by :func:`parse_strategy_name`; ``SA@k`` seeds
-    SA on a distinct RNG stream (seed offset ``k * 101``).
+    The knob-taking form of :func:`family_strategy`: it builds the
+    :class:`EngineConfig` from ``use_cache``/``cache_store``/
+    ``cache_path``.  Its signature stays because external callers, such
+    as the end-to-end benchmark, bind its positional slots and its
+    keywords.
 
     ``jobs`` must be ``1``: candidates are evaluated in process, and
     parallelism is the sharded race (``run_portfolio(shards=...)``).
-    The positional slot stays because external callers, such as the
-    end-to-end benchmark, still pass it.
     """
     if jobs != 1:
         raise ValueError(
             f"jobs={jobs!r}: strategies evaluate in process; race a "
             "portfolio with --shards for parallelism"
         )
+    return family_strategy(
+        name, seed, sa_iterations,
+        EngineConfig(use_cache, cache_store, cache_path), budget,
+    )
+
+
+def family_strategy(
+    name: str,
+    seed: int,
+    sa_iterations: int,
+    engine: EngineConfig = EngineConfig(),
+    budget: Optional[Budget] = None,
+):
+    """Instantiate a strategy for a family run (shared with the CLI).
+
+    ``name`` is parsed by :func:`parse_strategy_name`.  SA's seed is
+    derived here and only here: ``seed * 7919 + 13``, plus ``k * 101``
+    for ``SA@k`` (a distinct RNG stream per variant).  AH opens no
+    engine, so it gets no ``engine``.
+    """
     base, variant = parse_strategy_name(name)
-    if base == "SA":
-        strategy = make_strategy(
-            "SA",
-            iterations=sa_iterations,
-            seed=seed * 7919 + 13 + variant * 101,
-            use_cache=use_cache,
-            cache_store=cache_store,
-            cache_path=cache_path,
-            budget=budget,
-        )
-        if variant:
-            strategy.name = f"SA@{variant}"
-        return strategy
-    return make_strategy(
-        base,
-        use_cache=use_cache,
-        cache_store=cache_store,
-        cache_path=cache_path,
+    if base == "AH":
+        return make_strategy("AH", budget=budget)
+    if base == "MH":
+        return make_strategy("MH", engine=engine, budget=budget)
+    strategy = make_strategy(
+        "SA",
+        iterations=sa_iterations,
+        seed=seed * 7919 + 13 + variant * 101,
+        engine=engine,
         budget=budget,
     )
+    if variant:
+        strategy.name = f"SA@{variant}"
+    return strategy
 
 
 def portfolio_members(
@@ -521,7 +513,7 @@ def portfolio_members(
     budget (the racing budget lives on the runner).
     """
     return [
-        strategy_for_family(name, seed, True, 1, sa_iterations, budget=budget)
+        family_strategy(name, seed, sa_iterations, budget=budget)
         for name in strategies
     ]
 
@@ -533,9 +525,7 @@ def run_portfolio(
     sa_iterations: int = DEFAULT_FAMILY_SA_ITERATIONS,
     member_budget: Optional[Budget] = None,
     shared_budget: Optional[Budget] = None,
-    use_cache: bool = True,
-    cache_store: str = "memory",
-    cache_path: Optional[str] = None,
+    engine: EngineConfig = EngineConfig(),
     shards: int = 0,
     elastic: bool = False,
 ) -> PortfolioResult:
@@ -545,8 +535,8 @@ def run_portfolio(
     :class:`repro.search.PortfolioRunner`: member order is the racing
     and tie-breaking order, ``shared_budget`` is contended for by all
     members, and the winner is byte-identical for any racing order.
-    With ``cache_store="sqlite"`` the race shares one persistent store
-    at ``cache_path`` (and is served warm by earlier races against it).
+    With a sqlite ``engine`` store the race shares one persistent store
+    (and is served warm by earlier races against it).
 
     ``shards >= 1`` runs the same race distributed across that many
     worker processes (:class:`repro.search.DistributedPortfolioRunner`)
@@ -564,18 +554,9 @@ def run_portfolio(
             budget=shared_budget,
             shards=shards,
             mode="elastic" if elastic else "replay",
-            use_cache=use_cache,
-            cache_store=cache_store,
-            cache_path=cache_path,
+            engine=engine,
         ).run(spec)
-    runner = PortfolioRunner(
-        members,
-        budget=shared_budget,
-        use_cache=use_cache,
-        cache_store=cache_store,
-        cache_path=cache_path,
-    )
-    return runner.run(spec)
+    return PortfolioRunner(members, budget=shared_budget, engine=engine).run(spec)
 
 
 def run_family_matrix(
@@ -585,8 +566,7 @@ def run_family_matrix(
     strategies: Sequence[str] = ("AH", "MH", "SA"),
     cache_modes: Sequence[bool] = (True, False),
     sa_iterations: int = DEFAULT_FAMILY_SA_ITERATIONS,
-    cache_store: str = "memory",
-    cache_path: Optional[str] = None,
+    engine: EngineConfig = EngineConfig(),
     budget: Optional[Budget] = None,
     verbose: bool = False,
 ) -> List[FamilyMatrixRecord]:
@@ -606,6 +586,9 @@ def run_family_matrix(
     strategies, cache_modes, sa_iterations:
         The strategy grid.  Results are deterministic for any cache
         mode by the evaluation-engine contract.
+    engine:
+        Engine settings of the runs; each cache mode switches its
+        cache on or off.
     """
     if family_names is None:
         family_names = families_module.family_names()
@@ -625,25 +608,21 @@ def run_family_matrix(
                 continue
             spec = scenario.spec()
             for strategy_name in strategies:
-                for use_cache in cache_modes:
-                    strategy = strategy_for_family(
+                for cached in cache_modes:
+                    result = family_strategy(
                         strategy_name,
                         seed,
-                        use_cache,
-                        1,
                         sa_iterations,
-                        budget=budget,
-                        cache_store=cache_store if use_cache else "memory",
-                        cache_path=cache_path,
-                    )
-                    result = strategy.design(spec)
+                        replace(engine, use_cache=cached),
+                        budget,
+                    ).design(spec)
                     records.append(
                         FamilyMatrixRecord(
                             family=name,
                             preset=preset_name,
                             seed=seed,
                             strategy=strategy_name,
-                            use_cache=use_cache,
+                            use_cache=cached,
                             result=result,
                         )
                     )
@@ -651,7 +630,7 @@ def run_family_matrix(
                         print(
                             f"family={name} preset={preset_name} "
                             f"seed={seed} {strategy_name} "
-                            f"cache={'on' if use_cache else 'off'}: "
+                            f"cache={'on' if cached else 'off'}: "
                             f"objective={result.objective:.1f}"
                         )
     return records
@@ -662,8 +641,7 @@ def run_family_smoke(
     seed: int = 1,
     strategies: Sequence[str] = ("AH", "MH", "SA"),
     sa_iterations: int = DEFAULT_FAMILY_SA_ITERATIONS,
-    cache_store: str = "memory",
-    cache_path: Optional[str] = None,
+    engine: EngineConfig = EngineConfig(),
     verbose: bool = False,
 ) -> List[FamilySmokeResult]:
     """CI smoke sweep: smallest preset per family, all checks.
@@ -674,10 +652,10 @@ def run_family_smoke(
     strategy's design is identical with the cache on and off -- the
     determinism contract new families must not break.
 
-    ``cache_store``/``cache_path`` apply to the *baseline* run of each
-    strategy only (the comparison variants stay memory-backed: they
-    exist to check determinism, and routing them through the same
-    database would let the store serve results between variants).  Each
+    ``engine`` applies to the *baseline* run of each strategy only
+    (the cache-off comparison variant opens no store: it exists to
+    check determinism, and routing it through the same database would
+    let the store serve results between the two runs).  Each
     smoke result reports the baseline designs' fingerprints and the
     store totals, so a second sweep against the same path can assert
     warm-hit rate and byte-identical designs (the CI warm-restart
@@ -708,9 +686,8 @@ def run_family_smoke(
 
         spec = scenario.spec()
         for strategy_name in strategies:
-            baseline = strategy_for_family(
-                strategy_name, seed, True, 1, sa_iterations,
-                cache_store=cache_store, cache_path=cache_path,
+            baseline = family_strategy(
+                strategy_name, seed, sa_iterations, engine
             ).design(spec)
             smoke.store_hits += baseline.store_hits
             smoke.store_misses += baseline.store_misses

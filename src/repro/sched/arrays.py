@@ -617,10 +617,6 @@ class ArraySpec:
     # ------------------------------------------------------------------
     # per-candidate lowering
     # ------------------------------------------------------------------
-    def jobs_of(self, pid: str) -> List[int]:
-        """Dense job indices of one process id (delta footprint lookup)."""
-        return self._jobs_by_pid.get(pid, [])
-
     def lower_candidate(self, design: "CandidateDesign") -> _Candidate:
         """Mapping/priorities/delays of one candidate, in index form.
 

@@ -69,7 +69,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.engine import EngineCounters, EvaluationEngine
+from repro.engine.engine import EngineConfig, EngineCounters, EvaluationEngine
 from repro.search.budget import Budget, SharedBudgetExhausted, StealRequested
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused
 from repro.search.loop import EvalRequest, execute_request
@@ -149,14 +149,8 @@ def _shard_main(
     ``assigns`` rows are ``(member, ckpt_json, k0, charged0, steal_at)``.
     """
     busy0 = time.process_time()
-    evaluator = EvaluationEngine(
-        spec,
-        use_cache=cfg["use_cache"],
-        max_cache_entries=cfg["max_cache_entries"],
-        cache_store=cfg["cache_store"],
-        cache_path=cfg["cache_path"],
-        store_read_only=cfg["cache_store"] == "sqlite",
-    )
+    # Shards read the shared store; the parent is its single writer.
+    evaluator = EvaluationEngine(spec, cfg["engine"], store_read_only=True)
     metered: bool = cfg["metered"]
     ckpt_every: int = cfg["checkpoint_every"]
     meter = MemberMeter(evaluator)
@@ -379,7 +373,8 @@ class DistributedPortfolioRunner:
     """Races a strategy portfolio across sharded worker processes.
 
     Construction mirrors :class:`~repro.search.portfolio.PortfolioRunner`
-    (same members/budget/engine knobs) plus the distribution knobs:
+    (same ``members``/``budget``/``engine`` arguments) plus the
+    distribution knobs:
 
     Parameters
     ----------
@@ -424,10 +419,7 @@ class DistributedPortfolioRunner:
         budget: Optional[Budget] = None,
         shards: int = 2,
         mode: str = "replay",
-        use_cache: bool = True,
-        max_cache_entries: Optional[int] = -1,
-        cache_store: str = "memory",
-        cache_path: Optional[str] = None,
+        engine: EngineConfig = EngineConfig(),
         steal_schedule: Optional[Sequence[dict]] = None,
         elastic_plan: Optional[Sequence[dict]] = None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
@@ -466,10 +458,7 @@ class DistributedPortfolioRunner:
         self.budget = budget_
         self.shards = shards
         self.mode = mode
-        self.use_cache = use_cache
-        self.max_cache_entries = max_cache_entries
-        self.cache_store = cache_store
-        self.cache_path = cache_path
+        self.engine = engine
         self.steal_schedule = [dict(e) for e in (steal_schedule or ())]
         self.elastic_plan = sorted(
             (dict(e) for e in (elastic_plan or ())), key=lambda e: e["after_done"]
@@ -525,19 +514,9 @@ class _Coordinator:
         )
 
     def _worker_cfg(self) -> Dict[str, Any]:
-        from repro.engine.cache import DEFAULT_MAX_ENTRIES
-
         runner = self.runner
-        max_entries = (
-            DEFAULT_MAX_ENTRIES
-            if runner.max_cache_entries == -1
-            else runner.max_cache_entries
-        )
         return {
-            "use_cache": runner.use_cache,
-            "max_cache_entries": max_entries,
-            "cache_store": runner.cache_store,
-            "cache_path": runner.cache_path,
+            "engine": runner.engine,
             "metered": runner._metered,
             "checkpoint_every": runner.checkpoint_every,
         }
@@ -838,13 +817,8 @@ class _Coordinator:
             handle = self._spawn(initial[s])
             for index, *_ in initial[s]:
                 self.states[index].owner = handle.id
-        if runner.cache_store == "sqlite":
-            self.evaluator = EvaluationEngine(
-                self.spec,
-                use_cache=True,
-                cache_store="sqlite",
-                cache_path=runner.cache_path,
-            )
+        if runner.engine.persistent:
+            self.evaluator = EvaluationEngine(self.spec, runner.engine)
 
         try:
             self._loop(mpwait)

@@ -275,20 +275,6 @@ class BusSchedule:
         out.sort(key=lambda item: item[0].start)
         return out
 
-    def residual_bytes(self) -> List[int]:
-        """Free bytes of every slot occurrence, in window-start order.
-
-        The container list of metric C1m without the window intervals
-        :meth:`residuals` materializes -- the metric hot path drops
-        them anyway, and building one :class:`Interval` per occurrence
-        dominates the extraction cost on long horizons.
-        """
-        used = self._used
-        return [
-            capacity - used.get((node_id, r), 0)
-            for node_id, r, capacity in _occurrence_order(self.bus, self.horizon)
-        ]
-
     def used_map(self) -> Dict[Tuple[str, int], int]:
         """The live used-bytes map keyed by ``(node, round)`` (read-only)."""
         return self._used

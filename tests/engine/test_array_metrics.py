@@ -50,7 +50,7 @@ from repro.core.transformations import (
 from repro.engine import evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.delta import DeltaEvaluator
-from repro.engine.engine import EvaluationEngine
+from repro.engine.engine import EngineConfig, EvaluationEngine
 from repro.engine.evaluation import EvaluatedDesign
 from repro.gen import families
 from repro.sched import ckernel
@@ -254,8 +254,8 @@ def test_resumed_state_prices_like_cold_state():
 # ----------------------------------------------------------------------
 # engine-level determinism: cache on/off, delta
 # ----------------------------------------------------------------------
-def _engine_outcomes(spec, design, moves, **kwargs):
-    with EvaluationEngine(spec, **kwargs) as engine:
+def _engine_outcomes(spec, design, moves, config):
+    with EvaluationEngine(spec, config) as engine:
         parent = engine.evaluate(design)
         return engine.evaluate_moves(parent, moves)
 
@@ -266,16 +266,16 @@ def test_engine_variants_price_identically(monkeypatch):
     spec, _, design = _cell("uniform-baseline")
     pids = [p.id for p in spec.current.processes]
     moves = list(remap_moves(design.mapping, pids))[:20]
-    for kernel, kwargs in (
-        (ckernel.KERNEL, {}),
-        (ckernel.KERNEL, {"use_cache": False}),
-        (None, {"use_cache": False}),
+    for kernel, config in (
+        (ckernel.KERNEL, EngineConfig()),
+        (ckernel.KERNEL, EngineConfig(use_cache=False)),
+        (None, EngineConfig(use_cache=False)),
     ):
         monkeypatch.setattr(ckernel, "KERNEL", kernel)
-        outcomes = _engine_outcomes(spec, design, moves, **kwargs)
+        outcomes = _engine_outcomes(spec, design, moves, config)
         for move, outcome in zip(moves, outcomes):
             assert_matches_oracle(
-                spec, move.apply(design), outcome, label=f"{kwargs}"
+                spec, move.apply(design), outcome, label=f"{config}"
             )
 
 
@@ -292,10 +292,8 @@ class TestSeededStrategyByteIdentity:
         seen = record_candidates(monkeypatch)
         reference = design_identity(MappingHeuristic().design(spec))
         assert_search_matches_oracle(spec, seen)
-        assert (
-            design_identity(MappingHeuristic(use_cache=False).design(spec))
-            == reference
-        )
+        off = MappingHeuristic(engine=EngineConfig(use_cache=False))
+        assert design_identity(off.design(spec)) == reference
 
     def test_sa(self, monkeypatch):
         family = families.get_family("bursty")

@@ -3,7 +3,7 @@ state and the order and accounting of ``evaluate_many``."""
 
 import pytest
 
-from repro.engine import EvaluationEngine
+from repro.engine import EngineConfig, EvaluationEngine
 from repro.engine.store import SqliteResultStore
 
 
@@ -37,7 +37,8 @@ class TestBatchEvaluator:
         self, spec, neighbourhood, tmp_path
     ):
         engine = EvaluationEngine(
-            spec, cache_store="sqlite", cache_path=str(tmp_path / "c.sqlite")
+            spec,
+            EngineConfig(cache_store="sqlite", cache_path=str(tmp_path / "c.sqlite")),
         )
         engine.evaluate_many(neighbourhood[:3])
         engine.close()

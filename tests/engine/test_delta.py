@@ -31,12 +31,14 @@ from repro.core.transformations import (
     remap_moves,
 )
 from kernel_oracle import occupancy, trace_identity
-from repro.engine import EvaluationEngine, evaluate_candidate
+from repro.engine import EngineConfig, EvaluationEngine, evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec
 from repro.core import mapping_heuristic, simulated_annealing
 from repro.engine.delta import DeltaEvaluator
 from repro.gen import families
 from repro.sched.list_scheduler import ListScheduler
+
+CACHE_OFF = EngineConfig(use_cache=False)
 
 
 class DeltaEngine(EvaluationEngine):
@@ -49,8 +51,8 @@ class DeltaEngine(EvaluationEngine):
     served.
     """
 
-    def __init__(self, spec, **kwargs):
-        super().__init__(spec, **kwargs)
+    def __init__(self, spec, *args, **kwargs):
+        super().__init__(spec, *args, **kwargs)
         self.delta = DeltaEvaluator(self.compiled, self.timings)
         self.delta_used = 0
 
@@ -312,8 +314,8 @@ class TestEngineMoveAPI:
             assert a.cache_stats().misses == b.cache_stats().misses
 
     def test_uncached_batch_matches_single_moves_and_stats(self, spec):
-        with EvaluationEngine(spec, use_cache=False) as single, EvaluationEngine(
-            spec, use_cache=False
+        with EvaluationEngine(spec, CACHE_OFF) as single, EvaluationEngine(
+            spec, CACHE_OFF
         ) as batched:
             parent_s = im_parent(spec, single.compiled)
             parent_b = im_parent(spec, batched.compiled)
@@ -343,7 +345,7 @@ class TestEngineMoveAPI:
     def test_traceless_parent_falls_back(self, spec):
         """Without a parent trace the delta kernel falls back to a cold
         evaluation, which is what the engine runs for every move."""
-        with EvaluationEngine(spec, use_cache=False) as engine:
+        with EvaluationEngine(spec, CACHE_OFF) as engine:
             parent = im_parent(spec, engine.compiled)
             parent.trace = None
             move = systematic_moves(spec, parent)[0]
@@ -363,8 +365,8 @@ class TestSteepestDescentDelta:
         """The runtime (cold moves) descent equals the delta-served one,
         with the cache on and off."""
 
-        def run(engine=EvaluationEngine, **kwargs):
-            with engine(spec, **kwargs) as evaluator:
+        def run(engine=EvaluationEngine, config=EngineConfig()):
+            with engine(spec, config) as evaluator:
                 parent = im_parent(spec, evaluator.compiled)
                 best = steepest_descent(
                     spec, evaluator, parent, DescentParams(max_iterations=6)
@@ -378,8 +380,8 @@ class TestSteepestDescentDelta:
 
         reference = run()
         assert run(DeltaEngine) == reference
-        assert run(use_cache=False) == reference
-        assert run(DeltaEngine, use_cache=False) == reference
+        assert run(config=CACHE_OFF) == reference
+        assert run(DeltaEngine, CACHE_OFF) == reference
 
 
 # ----------------------------------------------------------------------
@@ -478,7 +480,7 @@ class TestSeededStrategyEquivalence:
             SimulatedAnnealing(iterations=120, seed=3).design(spec)
         )
         assert design_identity(
-            SimulatedAnnealing(iterations=120, seed=3, use_cache=False)
+            SimulatedAnnealing(iterations=120, seed=3, engine=CACHE_OFF)
             .design(spec)
         ) == reference
         delta_engines(monkeypatch)

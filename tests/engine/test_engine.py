@@ -1,29 +1,32 @@
 """Tests for the EvaluationEngine: accounting, strategy integration and
 batch-versus-single equivalence."""
 
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
 
 from repro.core.adhoc import AdHocStrategy
 from repro.core.initial_mapping import InitialMapper
 from repro.core.mapping_heuristic import MappingHeuristic
 from repro.core.transformations import CandidateDesign
-from repro.engine import EvaluationEngine
+from repro.engine import EngineConfig, EvaluationEngine
 from repro.engine.store import SqliteResultStore
 from repro.sched.priorities import hcp_priorities
+from repro.search.budget import Budget
 
 
 @pytest.fixture(params=["memory", "sqlite"])
-def store_kwargs(request, tmp_path):
+def store_config(request, tmp_path):
     """Engine backend selection; ``fresh()`` gives an unshared database."""
     paths = iter(range(1000))
 
     def fresh():
         if request.param == "memory":
-            return {"cache_store": "memory"}
-        return {
-            "cache_store": "sqlite",
-            "cache_path": str(tmp_path / f"engine-{next(paths)}.sqlite"),
-        }
+            return EngineConfig()
+        return EngineConfig(
+            cache_store="sqlite",
+            cache_path=str(tmp_path / f"engine-{next(paths)}.sqlite"),
+        )
 
     return fresh
 
@@ -49,7 +52,7 @@ class TestEvaluationEngine:
             assert (stats.hits, stats.misses) == (0, 1)
 
     def test_cache_disabled_stats_zero(self, spec):
-        with EvaluationEngine(spec, use_cache=False) as engine:
+        with EvaluationEngine(spec, EngineConfig(use_cache=False)) as engine:
             stats = engine.cache_stats()
             assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
 
@@ -69,10 +72,50 @@ class TestEvaluationEngine:
             )
 
 
+class TestEngineConfig:
+    """The one engine-settings value: checked when built, then frozen."""
+
+    def test_unknown_store_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown cache_store 'redis'"):
+            EngineConfig(cache_store="redis")
+
+    def test_sqlite_without_path_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="requires a cache_path"):
+            EngineConfig(cache_store="sqlite")
+        with pytest.raises(ValueError, match="requires a cache_path"):
+            EngineConfig(use_cache=False, cache_store="sqlite")
+
+    def test_immutable(self, tmp_path):
+        config = EngineConfig(
+            cache_store="sqlite", cache_path=str(tmp_path / "s.sqlite")
+        )
+        assert config.persistent
+        with pytest.raises(FrozenInstanceError):
+            config.use_cache = False
+        with pytest.raises(FrozenInstanceError):
+            config.cache_path = None
+        assert hash(config) == hash(replace(config))
+
+    def test_cache_off_builds_no_store(self, spec, tmp_path):
+        path = tmp_path / "never.sqlite"
+        config = EngineConfig(
+            use_cache=False, cache_store="sqlite", cache_path=str(path)
+        )
+        assert not config.persistent
+        with EvaluationEngine(spec, config) as engine:
+            assert engine.cache is None
+        assert not path.exists()
+
+
 class TestAdHocOnEngine:
     def test_ah_unchanged_by_engine_knobs(self, spec):
+        """AH opens no engine, so it declares no engine setting; its one
+        remaining knob, the budget, does not change its design either."""
+        assert [f.name for f in fields(AdHocStrategy)] == ["budget"]
+        with pytest.raises(TypeError):
+            AdHocStrategy(engine=EngineConfig(use_cache=False))
         plain = AdHocStrategy().design(spec)
-        tuned = AdHocStrategy(use_cache=False).design(spec)
+        tuned = AdHocStrategy(budget=Budget(max_evaluations=1)).design(spec)
         assert plain.valid and tuned.valid
         assert plain.objective == tuned.objective
         assert plain.mapping.as_dict() == tuned.mapping.as_dict()
@@ -132,7 +175,9 @@ class TestLifecycle:
         monkeypatch.setattr(mh_module, "EvaluationEngine", CapturingEngine)
         monkeypatch.setattr(mh_module, "descent_loop", boom)
         strategy = MappingHeuristic(
-            cache_store="sqlite", cache_path=str(tmp_path / "s.sqlite")
+            engine=EngineConfig(
+                cache_store="sqlite", cache_path=str(tmp_path / "s.sqlite")
+            )
         )
         with pytest.raises(RuntimeError, match="mid-search failure"):
             strategy.design(spec)
@@ -166,17 +211,17 @@ class TestBatchEqualsSingles:
         # Earlier entries come back after the bound has evicted them.
         return items + items[:2] + items[-1:]
 
-    def test_evaluate_moves_equals_single_moves(self, spec, start, moves, store_kwargs):
+    def test_evaluate_moves_equals_single_moves(self, spec, start, moves, store_config):
         moves = self._repeat(moves)
         assert len(set(map(repr, moves))) > self.BOUND
         with EvaluationEngine(
-            spec, max_cache_entries=self.BOUND, **store_kwargs()
+            spec, store_config(), max_cache_entries=self.BOUND
         ) as batched:
             parent = batched.evaluate(start)
             batch = batched.evaluate_moves(parent, moves)
             batch_accounting = _accounting(batched)
         with EvaluationEngine(
-            spec, max_cache_entries=self.BOUND, **store_kwargs()
+            spec, store_config(), max_cache_entries=self.BOUND
         ) as single:
             parent = single.evaluate(start)
             singles = [single.evaluate_move(parent, m) for m in moves]
@@ -188,15 +233,15 @@ class TestBatchEqualsSingles:
         assert misses > len(set(map(repr, moves))) + 1  # evictions re-solved
         assert delta_attempts == 0  # moves are evaluated cold
 
-    def test_evaluate_many_equals_single_calls(self, spec, neighbourhood, store_kwargs):
+    def test_evaluate_many_equals_single_calls(self, spec, neighbourhood, store_config):
         designs = self._repeat(list(neighbourhood))
         with EvaluationEngine(
-            spec, max_cache_entries=self.BOUND, **store_kwargs()
+            spec, store_config(), max_cache_entries=self.BOUND
         ) as batched:
             batch = batched.evaluate_many(designs)
             batch_accounting = _accounting(batched)
         with EvaluationEngine(
-            spec, max_cache_entries=self.BOUND, **store_kwargs()
+            spec, store_config(), max_cache_entries=self.BOUND
         ) as single:
             singles = [single.evaluate(d) for d in designs]
             single_accounting = _accounting(single)
@@ -223,7 +268,8 @@ class TestBatchEqualsSingles:
         monkeypatch.setattr(SqliteResultStore, "__contains__", counting_contains)
         monkeypatch.setattr(SqliteResultStore, "get", counting_get)
         with EvaluationEngine(
-            spec, cache_store="sqlite", cache_path=str(tmp_path / "s.sqlite")
+            spec,
+            EngineConfig(cache_store="sqlite", cache_path=str(tmp_path / "s.sqlite")),
         ) as engine:
             parent = engine.evaluate(start)
             designs = [m.apply(start) for m in moves]

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.initial_mapping import InitialMapper
 from repro.core.transformations import CandidateDesign, RemapProcess
-from repro.engine import EvaluationEngine, evaluate_candidate
+from repro.engine import EngineConfig, EvaluationEngine, evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.store import (
     SCHEMA_VERSION,
@@ -39,6 +39,10 @@ def im_design(spec):
 
 def _schedule_json(outcome):
     return json.dumps(schedule_to_dict(outcome.schedule), sort_keys=True)
+
+
+def sqlite_config(path):
+    return EngineConfig(cache_store="sqlite", cache_path=path)
 
 
 class TestSqliteStore:
@@ -184,6 +188,36 @@ class TestSqliteStore:
             store = SqliteResultStore(path)
         assert not store.persistent
 
+    def test_foreign_database_is_left_untouched(self, tmp_path):
+        """A database some other program owns is not a result store:
+        the store degrades once, loudly, and adds no table to it."""
+        path = tmp_path / "app.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE users (id INTEGER PRIMARY KEY, name TEXT)")
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            store = SqliteResultStore(path)
+        assert not store.persistent
+        runtime = [w for w in caught if w.category is RuntimeWarning]
+        assert len(runtime) == 1
+        assert "not a result store" in str(runtime[0].message)
+        store.put(("k",), 7)
+        store.commit()
+        store.close()
+        conn = sqlite3.connect(path)
+        tables = [
+            row[0]
+            for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        ]
+        conn.close()
+        assert tables == ["users"]
+        assert path.read_bytes() == before
+
     def test_read_only_missing_file_degrades(self, tmp_path):
         with pytest.warns(RuntimeWarning, match="memory-only"):
             store = SqliteResultStore(
@@ -207,32 +241,29 @@ class TestSqliteStore:
         fresh.close()
 
     def test_make_store_validation(self, compiled, tmp_path):
-        assert isinstance(make_store("memory", None, compiled), MemoryResultStore)
+        assert isinstance(make_store(EngineConfig(), compiled), MemoryResultStore)
         store = make_store(
-            "sqlite", tmp_path / "store.sqlite", compiled
+            EngineConfig(cache_store="sqlite", cache_path=str(tmp_path / "s.db")),
+            compiled,
         )
         assert isinstance(store, SqliteResultStore)
         store.close()
         with pytest.raises(ValueError, match="requires a cache_path"):
-            make_store("sqlite", None, compiled)
+            EngineConfig(cache_store="sqlite")
         with pytest.raises(ValueError, match="unknown cache_store"):
-            make_store("redis", None, compiled)
+            EngineConfig(cache_store="redis")
 
 
 class TestEngineStoreIntegration:
     def test_warm_restart_serves_from_store(self, spec, im_design, tmp_path):
         path = str(tmp_path / "store.sqlite")
-        with EvaluationEngine(
-            spec, cache_store="sqlite", cache_path=path
-        ) as cold_eval:
+        with EvaluationEngine(spec, sqlite_config(path)) as cold_eval:
             cold = cold_eval.evaluate(im_design)
             assert cold_eval.store_hits == 0
             assert cold_eval.store_misses == 1
             assert cold_eval.store_writes >= 1
             cold_json = _schedule_json(cold)
-        with EvaluationEngine(
-            spec, cache_store="sqlite", cache_path=path
-        ) as warm_eval:
+        with EvaluationEngine(spec, sqlite_config(path)) as warm_eval:
             warm = warm_eval.evaluate(im_design)
             assert warm_eval.store_hits == 1
             assert warm_eval.store_misses == 0
@@ -253,32 +284,28 @@ class TestEngineStoreIntegration:
             for p in spec.current.processes:
                 if node in p.allowed_nodes:
                     candidate.mapping.assign(p.id, node)
-            with EvaluationEngine(spec, use_cache=False) as probe:
+            with EvaluationEngine(spec, EngineConfig(use_cache=False)) as probe:
                 if probe.evaluate(candidate) is None:
                     overloaded = candidate
                     break
         assert overloaded is not None, "no overloaded candidate found"
         path = str(tmp_path / "store.sqlite")
-        with EvaluationEngine(
-            spec, cache_store="sqlite", cache_path=path
-        ) as cold_eval:
+        with EvaluationEngine(spec, sqlite_config(path)) as cold_eval:
             assert cold_eval.evaluate(overloaded) is None
-        with EvaluationEngine(
-            spec, cache_store="sqlite", cache_path=path
-        ) as warm_eval:
+        with EvaluationEngine(spec, sqlite_config(path)) as warm_eval:
             assert warm_eval.evaluate(overloaded) is None
             assert warm_eval.store_hits == 1
             assert warm_eval.store_misses == 0
 
     def test_invalid_design_looked_up_twice_hits_cache(
-        self, spec, im_design, store_kwargs_local
+        self, spec, im_design, store_config_local
     ):
         """Regression: the second lookup of a cached-invalid design must
         be a cache hit (one miss total), not a silent re-evaluation."""
         mutated = CandidateDesign(
             im_design.mapping.copy(), dict(im_design.priorities)
         )
-        with EvaluationEngine(spec, **store_kwargs_local) as evaluator:
+        with EvaluationEngine(spec, store_config_local) as evaluator:
             first = evaluator.evaluate(mutated)
             second = evaluator.evaluate(mutated)
             assert first is second or (first is None and second is None)
@@ -294,13 +321,9 @@ class TestEngineStoreIntegration:
                     designs.append(
                         RemapProcess(proc.id, node).apply(im_design)
                     )
-        with EvaluationEngine(
-            spec, cache_store="sqlite", cache_path=path
-        ) as primer:
+        with EvaluationEngine(spec, sqlite_config(path)) as primer:
             baseline = primer.evaluate_many(designs)
-        with EvaluationEngine(
-            spec, cache_store="sqlite", cache_path=path
-        ) as warm_engine:
+        with EvaluationEngine(spec, sqlite_config(path)) as warm_engine:
             # A fresh resident tier: every candidate is served by the
             # database, none is solved again.
             warm = warm_engine.evaluate_many(designs)
@@ -313,10 +336,7 @@ class TestEngineStoreIntegration:
 
 
 @pytest.fixture(params=["memory", "sqlite"])
-def store_kwargs_local(request, tmp_path):
+def store_config_local(request, tmp_path):
     if request.param == "memory":
-        return {"cache_store": "memory"}
-    return {
-        "cache_store": "sqlite",
-        "cache_path": str(tmp_path / "engine.sqlite"),
-    }
+        return EngineConfig()
+    return sqlite_config(str(tmp_path / "engine.sqlite"))

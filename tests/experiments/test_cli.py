@@ -276,6 +276,28 @@ class TestStoreCli:
         assert code == 2
         assert "requires --cache-path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fig-quality"],
+            ["fig-runtime"],
+            ["fig-future"],
+            ["all"],
+            ["scenarios", "run", "uniform-baseline"],
+        ],
+        ids=lambda command: " ".join(command),
+    )
+    def test_every_command_rejects_sqlite_without_path(self, capsys, command):
+        """The engine config is built once, before any command runs: a
+        sqlite store without a path is one line on stderr and exit 2."""
+        code = main(command + ["--cache-store", "sqlite"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "requires --cache-path" in lines[0]
+
 
 class TestNumericFlags:
     """Numeric flags are validated at parse time: exit 2 with a precise

@@ -33,7 +33,7 @@ from repro.core.transformations import (
     SwapPriorities,
     remap_moves,
 )
-from repro.engine import evaluate_candidate
+from repro.engine import EngineConfig, evaluate_candidate
 from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.delta import DeltaEvaluator
 from repro.gen import families
@@ -241,10 +241,8 @@ class TestSeededStrategyEquivalence:
         seen = record_candidates(monkeypatch)
         reference = design_identity(MappingHeuristic().design(spec))
         assert_search_matches_oracle(spec, seen)
-        assert (
-            design_identity(MappingHeuristic(use_cache=False).design(spec))
-            == reference
-        )
+        off = MappingHeuristic(engine=EngineConfig(use_cache=False))
+        assert design_identity(off.design(spec)) == reference
         monkeypatch.setattr(ckernel, "KERNEL", None)
         assert design_identity(MappingHeuristic().design(spec)) == reference
 

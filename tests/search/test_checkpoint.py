@@ -7,7 +7,7 @@ import numpy as np
 from searchutil import identity, small_scenario, start_of
 
 from repro.core.simulated_annealing import SimulatedAnnealing
-from repro.engine import EvaluationEngine
+from repro.engine import EngineConfig, EvaluationEngine
 from repro.search.acceptors import GreedyAcceptor, MetropolisAcceptor
 from repro.search.budget import Budget, StealRequested
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused, SearchCheckpoint
@@ -115,15 +115,15 @@ class TestResume:
         """A fresh-process resume against a warm sqlite store replays
         the cut prefix from the database and lands byte-identical to an
         uninterrupted run."""
-        path = str(tmp_path / "resume.sqlite")
+        store = EngineConfig(
+            cache_store="sqlite", cache_path=str(tmp_path / "resume.sqlite")
+        )
         with EvaluationEngine(spec) as evaluator:
             start = start_of(spec, evaluator)
             straight = walk_loop(100).run(
                 spec, evaluator, start=start, rng=np.random.default_rng(42)
             )
-        with EvaluationEngine(
-            spec, cache_store="sqlite", cache_path=path
-        ) as evaluator:
+        with EvaluationEngine(spec, store) as evaluator:
             start = start_of(spec, evaluator)
             cut = walk_loop(40).run(
                 spec, evaluator, start=start, rng=np.random.default_rng(42)
@@ -132,9 +132,7 @@ class TestResume:
             wire = cut.checkpoint.to_json()
         # The resuming evaluator is brand new -- only the database file
         # survives, exactly like a process restart.
-        with EvaluationEngine(
-            spec, cache_store="sqlite", cache_path=path
-        ) as fresh:
+        with EvaluationEngine(spec, store) as fresh:
             resumed = walk_loop(100).resume(
                 spec, fresh, SearchCheckpoint.from_json(wire)
             )

@@ -13,7 +13,7 @@ from searchutil import small_scenario
 from repro.core.adhoc import AdHocStrategy
 from repro.core.mapping_heuristic import MappingHeuristic
 from repro.core.simulated_annealing import SimulatedAnnealing
-from repro.engine import EvaluationEngine
+from repro.engine import EngineConfig, EvaluationEngine
 from repro.search.budget import Budget, StealRequested
 from repro.search.checkpoint import MemberCheckpoint, MemberPaused
 from repro.search.distributed import DistributedPortfolioRunner
@@ -353,15 +353,30 @@ class TestFailureInjection:
 # ----------------------------------------------------------------------
 class TestSqliteStore:
     def test_single_writer_and_warm_reuse(self, spec, tmp_path):
-        path = str(tmp_path / "results.sqlite")
+        store = EngineConfig(
+            cache_store="sqlite", cache_path=str(tmp_path / "results.sqlite")
+        )
         cold = DistributedPortfolioRunner(
             members(), shards=2, checkpoint_every=0, race_timeout=120.0,
-            cache_store="sqlite", cache_path=path,
+            engine=store,
         ).run(spec)
         assert cold.store_writes > 0
         warm = DistributedPortfolioRunner(
             members(), shards=2, checkpoint_every=0, race_timeout=120.0,
-            cache_store="sqlite", cache_path=path,
+            engine=store,
         ).run(spec)
         assert warm.store_hits > 0
         assert result_key(warm) == result_key(cold)
+
+    def test_sqlite_race_equals_lockstep(self, spec, tmp_path):
+        """The engine config reaches every shard: a sharded race over a
+        sqlite store picks the lockstep race's winner and members."""
+        reference = PortfolioRunner(members()).run(spec)
+        store = EngineConfig(
+            cache_store="sqlite", cache_path=str(tmp_path / "race.sqlite")
+        )
+        result = DistributedPortfolioRunner(
+            members(), shards=2, race_timeout=120.0, engine=store
+        ).run(spec)
+        assert result.store_writes > 0
+        assert result_key(result) == result_key(reference)

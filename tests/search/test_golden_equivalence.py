@@ -24,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.runner import strategy_for_family
+from repro.engine import EngineConfig
+from repro.experiments.runner import family_strategy, strategy_for_family
 from repro.gen import families
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_designs.json"
@@ -83,15 +84,13 @@ def test_matches_pre_refactor_design(specs, family_name, strategy):
 # Every candidate solved cold and uncached.  The id is the one this row
 # had when it switched the (since removed) delta kernel off; moves are
 # now always evaluated cold.
-@pytest.mark.parametrize("use_cache", [pytest.param(False, id="delta-off-1-False")])
-def test_golden_holds_across_engine_modes(specs, strategy, use_cache):
+@pytest.mark.parametrize(
+    "engine", [pytest.param(EngineConfig(use_cache=False), id="delta-off-1-False")]
+)
+def test_golden_holds_across_engine_modes(specs, strategy, engine):
     _, cell = golden_cell(CROSS_MODE_FAMILY)
-    result = strategy_for_family(
-        strategy,
-        GOLDEN["seed"],
-        use_cache,
-        1,
-        GOLDEN["sa_iterations"],
+    result = family_strategy(
+        strategy, GOLDEN["seed"], GOLDEN["sa_iterations"], engine
     ).design(specs[CROSS_MODE_FAMILY])
     assert result.valid
     assert observed_identity(result) == cell[strategy]
