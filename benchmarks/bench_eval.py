@@ -19,6 +19,11 @@ search loop pays -- four ways:
   the array pass with trace columns, an object-schedule decode per
   candidate, and the object metric kernel over the decoded schedule.
 
+Every timed evaluation derives its candidate afresh from the
+neighbourhood's move (``move.apply``), as a search request does, so no
+path reuses what an earlier repetition cached on the candidate (its
+key, its lowered priority ranks).
+
 The headline number is the per-candidate median speedup of the array
 path over decode-always on the medium preset -- the end-to-end gain of
 keeping evaluation inside the flat representation; array over python
@@ -35,6 +40,13 @@ place) next to the pure-Python kernel it replaced
 (:func:`~repro.core.array_metrics.price_counts_python`), per finished
 state of one MH neighbourhood.  Both must return the same four
 integers on every state.
+
+A third row, **lower + key**, times the candidate-representation cost
+per request on the medium preset: the cache key
+(:meth:`CompiledSpec.signature`) plus the kernel lowering
+(:meth:`ArraySpec.lower_candidate`) of a freshly derived child -- the
+two costs the end-to-end benchmark reports as ``engine.signature_s``
+and ``sched.lower_s``.
 
 Results land in the repo-root ``BENCH_eval.json`` (see conftest), with
 the core count, the Python/numpy/cffi versions and whether the compiled
@@ -101,19 +113,26 @@ def _context(preset: str, family_name: str = "uniform-baseline"):
         record_trace=True,
     )
     moves = generate_moves(spec, parent, DescentParams(pool_size=8))
-    children = [move.apply(parent.design) for move in moves]
-    context = (spec, compiled, arrays, scheduler, children)
+    items = [(parent.design, move) for move in moves]
+    context = (spec, compiled, arrays, scheduler, items)
     _CONTEXTS[family_name, preset] = context
     return context
 
 
-def _evaluate_array(compiled, child):
-    return evaluate_candidate(compiled, child)
+def _child(item):
+    """A freshly derived candidate: ``move.apply(parent)``."""
+    design, move = item
+    return move.apply(design)
 
 
-def _evaluate_python(spec, arrays, child):
-    child.mapping.validate_complete()
-    state = arrays.fresh_state(arrays.lower_candidate(child), record=False)
+def _evaluate_array(compiled, item):
+    return evaluate_candidate(compiled, _child(item))
+
+
+def _evaluate_python(spec, arrays, item):
+    state = arrays.fresh_state(
+        arrays.lower_candidate(_child(item)), record=False
+    )
     arrays.run_kernel(state)
     if not state.success:
         return None
@@ -123,7 +142,8 @@ def _evaluate_python(spec, arrays, child):
     )
 
 
-def _evaluate_object(spec, compiled, scheduler, child):
+def _evaluate_object(spec, compiled, scheduler, item):
+    child = _child(item)
     result = scheduler.try_schedule(
         spec.current,
         child.mapping,
@@ -136,12 +156,27 @@ def _evaluate_object(spec, compiled, scheduler, child):
     return evaluate_design(result.schedule, spec.future, spec.weights)
 
 
-def _evaluate_decode_always(spec, arrays, child):
-    state = arrays.schedule_design(child, record=False, columns=True)
+def _evaluate_decode_always(spec, arrays, item):
+    state = arrays.schedule_design(_child(item), record=False, columns=True)
     if not state.success:
         return None
     schedule = arrays.decode_schedule(state)
     return evaluate_design(schedule, spec.future, spec.weights)
+
+
+def _lower_and_key_us(compiled, arrays, items, repeats: int = 7):
+    """Median per-request time of key + lowering on fresh children."""
+    times = []
+    for item in items:
+        best = float("inf")
+        for _ in range(repeats + 1):  # the first round warms up
+            child = _child(item)
+            start = time.perf_counter()
+            compiled.signature(child)
+            arrays.lower_candidate(child)
+            best = min(best, time.perf_counter() - start)
+        times.append(best)
+    return statistics.median(times) * 1e6
 
 
 def _per_candidate(fn, items, repeats: int = 7):
@@ -168,23 +203,22 @@ def _timed_once(fn, item):
 
 def _speedup_info(preset: str):
     """Per-candidate medians and speedups for ``extra_info``."""
-    spec, compiled, arrays, scheduler, children = _context(preset)
+    spec, compiled, arrays, scheduler, items = _context(preset)
     median_array = _per_candidate(
-        lambda child: _evaluate_array(compiled, child),
-        children,
+        lambda item: _evaluate_array(compiled, item), items
     )
     median_python = _per_candidate(
-        lambda child: _evaluate_python(spec, arrays, child), children
+        lambda item: _evaluate_python(spec, arrays, item), items
     )
     median_object = _per_candidate(
-        lambda child: _evaluate_object(spec, compiled, scheduler, child),
-        children,
+        lambda item: _evaluate_object(spec, compiled, scheduler, item),
+        items,
     )
     median_decode = _per_candidate(
-        lambda child: _evaluate_decode_always(spec, arrays, child), children
+        lambda item: _evaluate_decode_always(spec, arrays, item), items
     )
     return {
-        "n_candidates": len(children),
+        "n_candidates": len(items),
         "median_array_us": round(median_array * 1e6, 1),
         "median_python_us": round(median_python * 1e6, 1),
         "median_object_us": round(median_object * 1e6, 1),
@@ -198,17 +232,17 @@ def _speedup_info(preset: str):
 @pytest.mark.parametrize("preset", BENCH_PRESETS)
 def test_array_evaluation(benchmark, environment, preset):
     """The array evaluation path over one neighbourhood, end to end."""
-    spec, compiled, arrays, scheduler, children = _context(preset)
-    for child in children:
-        outcome = _evaluate_array(compiled, child)
-        python = _evaluate_python(spec, arrays, child)
+    spec, compiled, arrays, scheduler, items = _context(preset)
+    for item in items:
+        outcome = _evaluate_array(compiled, item)
+        python = _evaluate_python(spec, arrays, item)
         assert (outcome is None) == (python is None)
         assert outcome is None or outcome.metrics == python
 
     def run():
         ok = 0
-        for child in children:
-            ok += _evaluate_array(compiled, child) is not None
+        for item in items:
+            ok += _evaluate_array(compiled, item) is not None
         return ok
 
     benchmark(run)
@@ -229,11 +263,11 @@ def test_array_evaluation(benchmark, environment, preset):
 @pytest.mark.parametrize("preset", BENCH_PRESETS)
 def test_object_evaluation(benchmark, environment, preset):
     """The same neighbourhood through the object kernel (the oracle)."""
-    spec, compiled, arrays, scheduler, children = _context(preset)
+    spec, compiled, arrays, scheduler, items = _context(preset)
 
     def run():
-        for child in children:
-            _evaluate_object(spec, compiled, scheduler, child)
+        for item in items:
+            _evaluate_object(spec, compiled, scheduler, item)
 
     benchmark(run)
     benchmark.extra_info.update(environment)
@@ -245,11 +279,11 @@ def test_object_evaluation(benchmark, environment, preset):
 @pytest.mark.parametrize("preset", BENCH_PRESETS)
 def test_decode_always_evaluation(benchmark, environment, preset):
     """The pre-array-metrics shape: decode + object metrics per candidate."""
-    spec, compiled, arrays, scheduler, children = _context(preset)
+    spec, compiled, arrays, scheduler, items = _context(preset)
 
     def run():
-        for child in children:
-            _evaluate_decode_always(spec, arrays, child)
+        for item in items:
+            _evaluate_decode_always(spec, arrays, item)
 
     benchmark(run)
     benchmark.extra_info.update(environment)
@@ -258,14 +292,44 @@ def test_decode_always_evaluation(benchmark, environment, preset):
     benchmark.extra_info["scenario_jobs"] = compiled.total_jobs
 
 
+def test_lower_and_key(benchmark, environment):
+    """Per-request candidate-representation cost on the medium preset."""
+    _, compiled, arrays, _, items = _context("medium")
+    children = [_child(item) for item in items]
+    reused = sum(
+        child._lowered is not None and child._lowered[0] is arrays
+        for child in children
+    )
+
+    def run():
+        for item in items:
+            child = _child(item)
+            compiled.signature(child)
+            arrays.lower_candidate(child)
+
+    benchmark(run)
+    benchmark.extra_info.update(environment)
+    benchmark.extra_info.update(
+        {
+            "eval_record": "lower-key",
+            "preset": "medium",
+            "n_requests": len(items),
+            "rank_reuse_share": round(reused / len(items), 3),
+            "median_lower_key_us": round(
+                _lower_and_key_us(compiled, arrays, items), 2
+            ),
+        }
+    )
+
+
 @pytest.mark.parametrize("family_name", PRICING_FAMILIES)
 def test_pricing_kernels(benchmark, environment, family_name):
     """Compiled vs pure-Python integer core over finished states."""
-    spec, _, arrays, _, children = _context("medium", family_name)
+    spec, _, arrays, _, items = _context("medium", family_name)
     future = spec.future
     states = [
         state
-        for state in (arrays.schedule_design(child) for child in children)
+        for state in (arrays.schedule_design(_child(item)) for item in items)
         if state.success
     ]
     for state in states:

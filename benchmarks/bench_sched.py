@@ -75,24 +75,33 @@ def _context(preset: str):
         record_trace=True,
     )
     moves = generate_moves(spec, parent, DescentParams(pool_size=8))
-    children = [move.apply(parent.design) for move in moves]
-    context = (spec, compiled, arrays, scheduler, children)
+    items = [(parent.design, move) for move in moves]
+    context = (spec, compiled, arrays, scheduler, items)
     _CONTEXTS[preset] = context
     return context
 
 
-def _schedule_array(arrays, child):
-    return arrays.schedule_design(child)
+def _child(item):
+    """A freshly derived candidate, so no timed pass reuses the ranks
+    an earlier repetition cached on it."""
+    design, move = item
+    return move.apply(design)
 
 
-def _schedule_python(arrays, child):
-    child.mapping.validate_complete()
-    state = arrays.fresh_state(arrays.lower_candidate(child), record=False)
+def _schedule_array(arrays, item):
+    return arrays.schedule_design(_child(item))
+
+
+def _schedule_python(arrays, item):
+    state = arrays.fresh_state(
+        arrays.lower_candidate(_child(item)), record=False
+    )
     arrays.run_kernel(state)
     return state
 
 
-def _schedule_object(spec, compiled, scheduler, child):
+def _schedule_object(spec, compiled, scheduler, item):
+    child = _child(item)
     return scheduler.try_schedule(
         spec.current,
         child.mapping,
@@ -103,7 +112,8 @@ def _schedule_object(spec, compiled, scheduler, child):
     )
 
 
-def _schedule_scratch(spec, scheduler, child):
+def _schedule_scratch(spec, scheduler, item):
+    child = _child(item)
     return scheduler.try_schedule(
         spec.current,
         child.mapping,
@@ -131,22 +141,22 @@ def _timed_once(fn, item):
 
 def _speedup_info(preset: str):
     """Per-candidate medians and speedups for ``extra_info``."""
-    spec, compiled, arrays, scheduler, children = _context(preset)
+    spec, compiled, arrays, scheduler, items = _context(preset)
     median_array = _per_candidate(
-        lambda child: _schedule_array(arrays, child), children
+        lambda item: _schedule_array(arrays, item), items
     )
     median_python = _per_candidate(
-        lambda child: _schedule_python(arrays, child), children
+        lambda item: _schedule_python(arrays, item), items
     )
     median_object = _per_candidate(
-        lambda child: _schedule_object(spec, compiled, scheduler, child),
-        children,
+        lambda item: _schedule_object(spec, compiled, scheduler, item),
+        items,
     )
     median_scratch = _per_candidate(
-        lambda child: _schedule_scratch(spec, scheduler, child), children
+        lambda item: _schedule_scratch(spec, scheduler, item), items
     )
     return {
-        "n_candidates": len(children),
+        "n_candidates": len(items),
         "median_array_us": round(median_array * 1e6, 1),
         "median_python_us": round(median_python * 1e6, 1),
         "median_object_us": round(median_object * 1e6, 1),
@@ -160,17 +170,17 @@ def _speedup_info(preset: str):
 @pytest.mark.parametrize("preset", BENCH_PRESETS)
 def test_array_kernel(benchmark, environment, preset):
     """The runtime scheduling path over one neighbourhood."""
-    spec, compiled, arrays, scheduler, children = _context(preset)
-    for child in children:
-        compiled_state = _schedule_array(arrays, child)
-        python_state = _schedule_python(arrays, child)
+    spec, compiled, arrays, scheduler, items = _context(preset)
+    for item in items:
+        compiled_state = _schedule_array(arrays, item)
+        python_state = _schedule_python(arrays, item)
         assert compiled_state.success == python_state.success
         assert compiled_state.runs_s == python_state.runs_s
 
     def run():
         ok = 0
-        for child in children:
-            ok += _schedule_array(arrays, child).success
+        for item in items:
+            ok += _schedule_array(arrays, item).success
         return ok
 
     benchmark(run)
@@ -190,11 +200,11 @@ def test_array_kernel(benchmark, environment, preset):
 @pytest.mark.parametrize("preset", BENCH_PRESETS)
 def test_object_kernel(benchmark, environment, preset):
     """The same neighbourhood through the pinned object kernel."""
-    spec, compiled, arrays, scheduler, children = _context(preset)
+    spec, compiled, arrays, scheduler, items = _context(preset)
 
     def run():
-        for child in children:
-            _schedule_object(spec, compiled, scheduler, child)
+        for item in items:
+            _schedule_object(spec, compiled, scheduler, item)
 
     benchmark(run)
     benchmark.extra_info.update(environment)
@@ -206,11 +216,11 @@ def test_object_kernel(benchmark, environment, preset):
 @pytest.mark.parametrize("preset", BENCH_PRESETS)
 def test_scratch_kernel(benchmark, environment, preset):
     """The pre-compilation shape: job table rebuilt per candidate."""
-    spec, compiled, arrays, scheduler, children = _context(preset)
+    spec, compiled, arrays, scheduler, items = _context(preset)
 
     def run():
-        for child in children:
-            _schedule_scratch(spec, scheduler, child)
+        for item in items:
+            _schedule_scratch(spec, scheduler, item)
 
     benchmark(run)
     benchmark.extra_info.update(environment)

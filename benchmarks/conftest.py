@@ -176,6 +176,11 @@ def _eval_summary(rows) -> dict:
         for row in rows
         if row["extra_info"].get("eval_record") == "pricing"
     }
+    lower_key = [
+        row["extra_info"].get("median_lower_key_us")
+        for row in rows
+        if row["extra_info"].get("eval_record") == "lower-key"
+    ]
     for row in rows:
         info = row["extra_info"]
         if (
@@ -196,6 +201,9 @@ def _eval_summary(rows) -> dict:
                         "speedup_vs_decode_always"
                     ),
                     "medium_pricing_speedup_vs_python": pricing,
+                    "medium_median_lower_key_us": (
+                        lower_key[0] if lower_key else None
+                    ),
                 }
             }
     return {}

@@ -11,7 +11,7 @@ Quickstart::
 
     from repro import ScenarioParams, build_scenario, design_application
 
-    scenario = build_scenario(ScenarioParams(), seed=7)
+    scenario = build_scenario(ScenarioParams(), seed=1)
     result = design_application(scenario.spec(), strategy="MH")
     print(result.metrics.summary())
 

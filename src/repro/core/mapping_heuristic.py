@@ -179,8 +179,8 @@ class MappingHeuristic:
         return DesignResult(
             self.name,
             valid=True,
-            mapping=best.mapping,
-            priorities=best.priorities,
+            mapping=best.mapping.copy(),
+            priorities=dict(best.priorities),
             message_delays=dict(best.design.message_delays),
             schedule=best.schedule,
             metrics=best.metrics,

@@ -349,8 +349,8 @@ class SimulatedAnnealing:
         return DesignResult(
             self.name,
             valid=True,
-            mapping=best.mapping,
-            priorities=best.priorities,
+            mapping=best.mapping.copy(),
+            priorities=dict(best.priorities),
             message_delays=dict(best.design.message_delays),
             schedule=best.schedule,
             metrics=best.metrics,

@@ -8,10 +8,11 @@ kinds of moves to the current application:
 * *moving a message to a different slack on the bus*.
 
 A candidate design here is the triple
-``(mapping, priorities, message_delays)`` wrapped in
-:class:`CandidateDesign`; the static cyclic schedule is a deterministic
-function of that triple (the list scheduler).  The paper's moves map to
-three concrete transformations:
+``(mapping, priorities, message_delays)`` held as three arrays in
+:class:`CandidateDesign` (see *Candidate representation* below); the
+static cyclic schedule is a deterministic function of that triple (the
+list scheduler).  The paper's moves map to three concrete
+transformations:
 
 * :class:`RemapProcess` -- change the node a process is mapped to
   (moves the process, and implicitly its messages, to the slack of a
@@ -22,9 +23,25 @@ three concrete transformations:
 * :class:`DelayMessage` -- make a message skip feasible TDMA slot
   occurrences, moving it to a later slack on the bus.
 
-Every transformation is pure: ``apply`` returns fresh copies and leaves
+Every transformation is pure: ``apply`` returns a new design and leaves
 the input design untouched, so strategies can fan out many moves from
 one base design.
+
+**Candidate representation.**  A design is three read-only arrays in
+the orders of one :class:`~repro.model.design_index.DesignIndex`: the
+node index of every process (``int32``), the priority of every process
+(``float64``) and the delay of every message (``int32``).  A move
+resolves its ids through the index and patches one or two entries of a
+copy of one array; the other arrays are shared with the parent (they
+are read-only, so sharing is safe).  The design's :attr:`~CandidateDesign.key`
+-- the three arrays' bytes, concatenated -- is the memoization key of
+the evaluation cache and the result store.  A child whose priorities
+did not change (remap and delay moves) also inherits its parent's
+lowered priority ranks, so the scheduling pass skips the sort.  The
+id-keyed forms -- :attr:`~CandidateDesign.mapping`,
+:attr:`~CandidateDesign.priorities`,
+:attr:`~CandidateDesign.message_delays` -- are lazy, cached, read-only
+views for reports, serialization and the strategies' bookkeeping.
 
 Every transformation also declares its **footprint**: the dirty set of
 processes, nodes and messages whose scheduling decisions the move can
@@ -38,11 +55,13 @@ handled by the divergence/resume machinery, not declared here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Union
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, List, Mapping as TMapping, Optional, Union
 
-from repro.model.mapping import Mapping
-from repro.sched.priorities import PriorityMap
+import numpy as np
+
+from repro.model.design_index import DesignIndex, read_only
+from repro.model.mapping import FrozenMapping, Mapping
 
 
 @dataclass(frozen=True)
@@ -76,30 +95,175 @@ class MoveFootprint:
     messages: FrozenSet[str] = frozenset()
 
 
-@dataclass
 class CandidateDesign:
     """A point in the search space of the optimization strategies.
 
+    Construct one from id-keyed forms -- ``CandidateDesign(mapping,
+    priorities, message_delays)``, checked by
+    :meth:`DesignIndex.encode <repro.model.design_index.DesignIndex.encode>`
+    -- or from a checked key (:meth:`from_key`); moves derive children
+    without re-checking.
+
     Attributes
     ----------
-    mapping:
-        Process-to-node assignment of the current application.
-    priorities:
-        List-scheduling priorities (higher runs first among ready).
-    message_delays:
-        Per-message feasible-slot skips (absent means 0).
+    index:
+        The :class:`~repro.model.design_index.DesignIndex` whose orders
+        the arrays follow.
+    node, prio, delay:
+        Read-only arrays: node index per process, list-scheduling
+        priority per process (higher runs first among ready), feasible
+        slot skips per message.
     """
 
-    mapping: Mapping
-    priorities: PriorityMap
-    message_delays: Dict[str, int] = field(default_factory=dict)
+    __slots__ = (
+        "index", "node", "prio", "delay", "_key", "_lowered", "_views",
+    )
+
+    def __init__(
+        self,
+        mapping: Mapping,
+        priorities: TMapping[str, float],
+        message_delays: Optional[TMapping[str, int]] = None,
+    ):
+        index = DesignIndex.of(mapping.application, mapping.architecture)
+        self._set(
+            index,
+            *index.encode(mapping.as_dict(), priorities, message_delays or {}),
+            None,
+        )
+
+    def _set(self, index, node, prio, delay, lowered) -> None:
+        self.index = index
+        self.node = node
+        self.prio = prio
+        self.delay = delay
+        self._key: Optional[bytes] = None
+        #: The scheduling lowering's cached priority ranks (see
+        #: ``ArraySpec.lower_candidate``); shared by children whose
+        #: priorities did not change.
+        self._lowered = lowered
+        self._views: Optional[tuple] = None
+
+    @classmethod
+    def _make(
+        cls,
+        index: DesignIndex,
+        node: np.ndarray,
+        prio: np.ndarray,
+        delay: np.ndarray,
+        lowered: Optional[tuple] = None,
+    ) -> "CandidateDesign":
+        """A design of read-only arrays already in ``index`` order."""
+        design = cls.__new__(cls)
+        design._set(index, node, prio, delay, lowered)
+        return design
+
+    @classmethod
+    def from_dicts(
+        cls,
+        index: DesignIndex,
+        mapping: TMapping[str, str],
+        priorities: TMapping[str, float],
+        message_delays: TMapping[str, int],
+    ) -> "CandidateDesign":
+        """Build a design from plain id-keyed dicts (checked)."""
+        return cls._make(
+            index, *index.encode(mapping, priorities, message_delays)
+        )
+
+    @classmethod
+    def from_key(cls, index: DesignIndex, key: bytes) -> "CandidateDesign":
+        """Rebuild a design from its :attr:`key` (checked)."""
+        design = cls._make(index, *index.decode_key(key))
+        design._key = bytes(key)
+        return design
+
+    @property
+    def key(self) -> bytes:
+        """The three arrays' bytes, concatenated (computed once)."""
+        key = self._key
+        if key is None:
+            key = self._key = (
+                self.node.tobytes() + self.prio.tobytes() + self.delay.tobytes()
+            )
+        return key
+
+    def _derive(
+        self, node=None, prio=None, delay=None
+    ) -> "CandidateDesign":
+        """A child sharing every array it does not replace."""
+        return CandidateDesign._make(
+            self.index,
+            self.node if node is None else node,
+            self.prio if prio is None else prio,
+            self.delay if delay is None else delay,
+            self._lowered if prio is None else None,
+        )
+
+    def node_of(self, process_id: str) -> str:
+        """The node ``process_id`` is mapped to (no view built)."""
+        index = self.index
+        return index.node_ids[self.node[index.pid_index[process_id]]]
+
+    def delay_of(self, message_id: str) -> int:
+        """The delay of ``message_id`` (no view built)."""
+        return int(self.delay[self.index.msg_index[message_id]])
+
+    # ------------------------------------------------------------------
+    # read-only id-keyed views (built on first use)
+    # ------------------------------------------------------------------
+    def _view(self) -> tuple:
+        views = self._views
+        if views is None:
+            index = self.index
+            views = self._views = (
+                index.mapping_view(self.node),
+                index.priorities_view(self.prio),
+                index.delays_view(self.delay),
+            )
+        return views
+
+    @property
+    def mapping(self) -> FrozenMapping:
+        """Process-to-node assignment (a read-only :class:`Mapping`)."""
+        return self._view()[0]
+
+    @property
+    def priorities(self) -> TMapping[str, float]:
+        """List-scheduling priorities by process id (read-only)."""
+        return self._view()[1]
+
+    @property
+    def message_delays(self) -> TMapping[str, int]:
+        """Nonzero feasible-slot skips by message id (read-only)."""
+        return self._view()[2]
 
     def copy(self) -> "CandidateDesign":
         """An independent copy of the design point."""
-        return CandidateDesign(
-            self.mapping.copy(),
-            dict(self.priorities),
-            dict(self.message_delays),
+        return CandidateDesign._make(
+            self.index,
+            read_only(self.node.copy()),
+            read_only(self.prio.copy()),
+            read_only(self.delay.copy()),
+            self._lowered,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CandidateDesign):
+            return NotImplemented
+        return self.index.same_order(other.index) and self.key == other.key
+
+    def __reduce__(self):
+        return (
+            CandidateDesign._make,
+            (self.index, self.node, self.prio, self.delay),
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"CandidateDesign({self.index.application.name!r}, "
+            f"{len(self.node)} processes, "
+            f"{int(np.count_nonzero(self.delay))} delayed messages)"
         )
 
 
@@ -111,10 +275,24 @@ class RemapProcess:
     node_id: str
 
     def apply(self, design: CandidateDesign) -> CandidateDesign:
-        """Return a new design with the process remapped."""
-        out = design.copy()
-        out.mapping.assign(self.process_id, self.node_id)
-        return out
+        """Return a new design with the process remapped.
+
+        Raises
+        ------
+        repro.utils.errors.MappingError
+            For an unknown process or node, or a disallowed node.
+        """
+        index = design.index
+        p = index.pid_index.get(self.process_id)
+        n = index.node_index.get(self.node_id)
+        if p is None or n is None or not index.allowed[p, n]:
+            # Mapping.assign words the precise error.
+            Mapping(index.application, index.architecture).assign(
+                self.process_id, self.node_id
+            )
+        node = design.node.copy()
+        node[p] = n
+        return design._derive(node=read_only(node))
 
     def footprint(self, design: CandidateDesign) -> MoveFootprint:
         """Dirty set: the process, affected deliveries, both nodes.
@@ -157,13 +335,19 @@ class SwapPriorities:
     second: str
 
     def apply(self, design: CandidateDesign) -> CandidateDesign:
-        """Return a new design with the two priorities swapped."""
-        out = design.copy()
-        a = out.priorities.get(self.first, 0.0)
-        b = out.priorities.get(self.second, 0.0)
-        out.priorities[self.first] = b
-        out.priorities[self.second] = a
-        return out
+        """Return a new design with the two priorities swapped.
+
+        Raises
+        ------
+        ValueError
+            For an unknown process id.
+        """
+        index = design.index
+        a = index.process(self.first)
+        b = index.process(self.second)
+        prio = design.prio.copy()
+        prio[a], prio[b] = prio[b], prio[a]
+        return design._derive(prio=read_only(prio))
 
     def footprint(self, design: CandidateDesign) -> MoveFootprint:
         """Dirty set: only the two re-keyed processes (and their nodes)."""
@@ -194,15 +378,17 @@ class DelayMessage:
     delta: int
 
     def apply(self, design: CandidateDesign) -> CandidateDesign:
-        """Return a new design with the message delay adjusted."""
-        out = design.copy()
-        current = out.message_delays.get(self.message_id, 0)
-        new = max(0, current + self.delta)
-        if new == 0:
-            out.message_delays.pop(self.message_id, None)
-        else:
-            out.message_delays[self.message_id] = new
-        return out
+        """Return a new design with the message delay adjusted.
+
+        Raises
+        ------
+        ValueError
+            For an unknown message id.
+        """
+        m = design.index.message(self.message_id)
+        delay = design.delay.copy()
+        delay[m] = max(0, int(delay[m]) + self.delta)
+        return design._derive(delay=read_only(delay))
 
     def footprint(self, design: CandidateDesign) -> MoveFootprint:
         """Dirty set: the sender (deliveries happen at its pop) + slot."""

@@ -17,15 +17,17 @@ separating problem *construction* from repeated *solving*:
 * the default HCP priorities are computed once;
 * the frozen base schedule is kept as a template; per-candidate
   evaluation only pays one ``copy()`` of it;
-* candidate signatures -- the memoization key of the evaluation cache
-  -- are derived here so the cache and the result store agree on
-  identity.
+* the design index (:class:`~repro.model.design_index.DesignIndex`)
+  fixes the array orders of every candidate, and candidate signatures
+  -- the memoization key of the evaluation cache -- are derived here
+  so the cache and the result store agree on identity.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
+from repro.model.design_index import DesignIndex
 from repro.sched.arrays import ArraySpec
 from repro.sched.jobs import JobTable, expand_jobs
 from repro.sched.priorities import PriorityMap, hcp_priorities
@@ -39,11 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.architecture import Architecture
 
 #: Hashable identity of one candidate design; see :func:`CompiledSpec.signature`.
-Signature = Tuple[
-    Tuple[Tuple[str, str], ...],
-    Tuple[Tuple[str, float], ...],
-    Tuple[Tuple[str, int], ...],
-]
+Signature = bytes
 
 
 class CompiledSpec:
@@ -66,6 +64,7 @@ class CompiledSpec:
                     f"divide the horizon {self.horizon}"
                 )
         self._validate_architecture()
+        self.index = DesignIndex.of(spec.current, spec.architecture)
         self.job_table: JobTable = expand_jobs(spec.current, self.horizon)
         self.default_priorities: PriorityMap = hcp_priorities(
             spec.current, spec.architecture.bus
@@ -174,14 +173,19 @@ class CompiledSpec:
         return SystemSchedule(self.spec.architecture, self.horizon)
 
     def signature(self, design: "CandidateDesign") -> Signature:
-        """Hashable identity of ``design`` for memoization.
+        """Hashable identity of ``design`` for memoization: its key.
 
         Two candidates with equal mapping, priorities and message
         delays produce byte-identical schedules (the list scheduler is
-        deterministic), so this triple is a sound cache key.
+        deterministic), so the bytes of the three design arrays are a
+        sound cache key.  ``bytes`` caches its own hash, so a key is
+        hashed once however often it is looked up.
+
+        Raises
+        ------
+        ValueError
+            For a design built against another problem's index.
         """
-        return (
-            tuple(sorted(design.mapping.as_dict().items())),
-            tuple(sorted(design.priorities.items())),
-            tuple(sorted(design.message_delays.items())),
-        )
+        if design.index is not self.index:
+            self.index.check_fits(design.index)
+        return design.key

@@ -136,7 +136,6 @@ class DeltaEvaluator:
         if footprint is None:
             return None
         fp = footprint(parent.design)
-        child.mapping.validate_complete()
         arrays = self.compiled.arrays
         cand = arrays.lower_candidate(child)
         d = arrays.divergence(

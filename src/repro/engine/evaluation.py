@@ -26,7 +26,7 @@ module scope would be circular.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Mapping as TMapping, Optional
 
 from repro.sched.arrays import ArrayRunState
 from repro.sched.schedule import SystemSchedule
@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.transformations import CandidateDesign
     from repro.engine.compiled_spec import CompiledSpec
     from repro.model.mapping import Mapping
-    from repro.sched.priorities import PriorityMap
 
 
 class StageTimings:
@@ -145,10 +144,12 @@ class EvaluatedDesign:
 
     @property
     def mapping(self) -> "Mapping":
+        """The design's read-only mapping view."""
         return self.design.mapping
 
     @property
-    def priorities(self) -> "PriorityMap":
+    def priorities(self) -> TMapping[str, float]:
+        """The design's read-only priority view."""
         return self.design.priorities
 
     # ------------------------------------------------------------------

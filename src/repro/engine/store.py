@@ -70,7 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Layout/encoding version of the sqlite schema.  A database written by
 #: a different version degrades loudly to memory-only instead of being
 #: misread.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Sentinel distinguishing "not stored" from a stored invalid verdict
 #: (``None`` is a first-class stored value).
@@ -225,7 +225,8 @@ class SqliteResultStore:
     Payload encoding, by prefix byte: ``b"I"`` = memoized invalid
     verdict (``None``); ``b"E"`` + canonical JSON = a valid design's
     :class:`~repro.core.metrics.DesignMetrics` (the design itself is
-    rebuilt from the signature, the schedule re-derived lazily on first
+    rebuilt from the signature -- the hex of the design key -- with
+    ``np.frombuffer``, the schedule re-derived lazily on first
     access -- storing full schedules would force the decode the lazy
     array path exists to avoid); ``b"P"`` + pickle = anything else
     (diagnostic/test payloads).
@@ -333,9 +334,20 @@ class SqliteResultStore:
                     conn.close()
                     self._degrade("not a result store")
                     return None
+                if version != SCHEMA_VERSION and (
+                    version is not None or self.read_only
+                ):
+                    # Checked before any pragma, so the file of another
+                    # store version stays byte-identical.
+                    conn.close()
+                    self._degrade(
+                        f"schema version {version!r}, supported "
+                        f"{SCHEMA_VERSION}"
+                    )
+                    return None
                 conn.execute("PRAGMA journal_mode=WAL")
                 conn.execute("PRAGMA synchronous=NORMAL")
-                if version is None and not self.read_only:
+                if version is None:
                     conn.execute(
                         "CREATE TABLE IF NOT EXISTS meta ("
                         "key TEXT PRIMARY KEY, value TEXT NOT NULL)"
@@ -352,14 +364,6 @@ class SqliteResultStore:
                         (str(SCHEMA_VERSION),),
                     )
                     conn.commit()
-                    version = SCHEMA_VERSION
-                if version != SCHEMA_VERSION:
-                    conn.close()
-                    self._degrade(
-                        f"schema version {version!r}, supported "
-                        f"{SCHEMA_VERSION}"
-                    )
-                    return None
             except sqlite3.Error:
                 conn.close()
                 raise
@@ -595,12 +599,11 @@ class SqliteResultStore:
     def _signature_key(signature: Signature) -> str:
         from repro.serialize.store_key import signature_key
 
-        try:
+        if isinstance(signature, bytes):
             return signature_key(signature)
-        except TypeError:
-            # Non-JSON key (diagnostic/test payloads): keep it usable
-            # within the process; such keys are not meant to persist.
-            return repr(signature)
+        # Non-design key (diagnostic/test payloads): keep it usable
+        # within the process; such keys are not meant to persist.
+        return repr(signature)
 
     @staticmethod
     def _encode(outcome: Optional[object]) -> bytes:
@@ -635,15 +638,9 @@ class SqliteResultStore:
                 "against"
             )
         from repro.core.transformations import CandidateDesign
-        from repro.model.mapping import Mapping
         from repro.serialize.codec import metrics_from_dict
 
-        spec = self.compiled.spec
-        design = CandidateDesign(
-            Mapping(spec.current, spec.architecture, dict(signature[0])),
-            dict(signature[1]),
-            dict(signature[2]),
-        )
+        design = CandidateDesign.from_key(self.compiled.index, signature)
         metrics = metrics_from_dict(json.loads(body.decode("utf-8")))
         return EvaluatedDesign(design, metrics, compiled=self.compiled)
 

@@ -29,6 +29,9 @@ class Application:
         self._graphs: Dict[str, ProcessGraph] = {}
         self._process_index: Dict[str, Tuple[ProcessGraph, Process]] = {}
         self._message_index: Dict[str, Tuple[ProcessGraph, Message]] = {}
+        #: The last :class:`~repro.model.design_index.DesignIndex` built
+        #: for this application (see ``DesignIndex.of``); process-local.
+        self._design_index = None
         if graphs is not None:
             for graph in graphs:
                 self.add_graph(graph)
@@ -62,11 +65,19 @@ class Application:
                     f"application {self.name!r}"
                 )
         self._graphs[graph.name] = graph
+        self._design_index = None
         for proc in graph.processes:
             self._process_index[proc.id] = (graph, proc)
         for msg in graph.messages:
             self._message_index[msg.id] = (graph, msg)
         return graph
+
+    # pickling: the design-index cache stays process-local (its
+    # receiver rebuilds it on first use).
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_design_index"] = None
+        return state
 
     # ------------------------------------------------------------------
     # queries

@@ -149,3 +149,35 @@ class Mapping:
             f"Mapping({self.application.name!r}, "
             f"{len(self._assignment)}/{self.application.process_count} mapped)"
         )
+
+
+class FrozenMapping(Mapping):
+    """A read-only :class:`Mapping`: the mapping view of a candidate design.
+
+    ``assign``/``unassign`` raise ``TypeError``; :meth:`copy` returns an
+    ordinary, writable :class:`Mapping`.  The assignment is trusted (the
+    design index validated it), so construction skips the per-entry
+    checks.
+    """
+
+    def __init__(
+        self,
+        application: Application,
+        architecture: Architecture,
+        assignment: Dict[str, str],
+    ):
+        self.application = application
+        self.architecture = architecture
+        self._assignment = assignment
+
+    def assign(self, process_id: str, node_id: str) -> None:
+        raise TypeError(_READ_ONLY)
+
+    def unassign(self, process_id: str) -> None:
+        raise TypeError(_READ_ONLY)
+
+
+_READ_ONLY = (
+    "this mapping is a read-only view of a candidate design; copy() it, "
+    "or derive a new design with a move"
+)

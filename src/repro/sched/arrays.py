@@ -65,7 +65,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -92,7 +92,6 @@ from repro.utils.intervals import IntervalSet
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.transformations import CandidateDesign, MoveFootprint
     from repro.engine.compiled_spec import CompiledSpec
-    from repro.sched.priorities import PriorityMap
 
 
 class ArrayRunState:
@@ -235,20 +234,29 @@ RunState = Union[ArrayRunState, ArrayBlockState]
 
 
 class _Candidate:
-    """Per-candidate lowering: mapping, delays and the rank bijection.
+    """Per-candidate lowering: the design arrays and the rank bijection.
 
+    ``node_np``/``delays_np`` are the design's own read-only arrays;
     ``rank_np``/``order_np`` are the int64 vectors a state block is
-    filled from; the list kernel reads their list forms.
+    filled from.  The list kernel reads their list forms.
     """
 
-    __slots__ = ("node_of", "delays", "urg_np", "rank_np", "order_np")
+    __slots__ = ("node_np", "delays_np", "urg_np", "rank_np", "order_np")
 
-    def __init__(self, node_of, delays, urg_np, rank_np, order_np) -> None:
-        self.node_of = node_of
-        self.delays = delays
+    def __init__(self, node_np, delays_np, urg_np, rank_np, order_np) -> None:
+        self.node_np = node_np
+        self.delays_np = delays_np
         self.urg_np = urg_np
         self.rank_np = rank_np
         self.order_np = order_np
+
+    @property
+    def node_of(self) -> List[int]:
+        return self.node_np.tolist()
+
+    @property
+    def delays(self) -> List[int]:
+        return self.delays_np.tolist()
 
     @property
     def urg(self) -> List[float]:
@@ -377,14 +385,17 @@ class ArraySpec:
     immutable after construction, so one lowering serves every
     candidate of a search run.  Dense id assignment:
 
-    * ``pids`` -- process ids, sorted lexicographically (so the pid
-      index doubles as the pid tie-break rank of the legacy heap key);
-    * ``node_ids`` -- architecture node order (also the TDMA geometry
-      index);
+    * ``pids``, ``node_ids``, ``message_ids`` -- the compiled spec's
+      :class:`~repro.model.design_index.DesignIndex` orders, which are
+      also the orders of a candidate design's arrays: pids sorted
+      lexicographically (so the pid index doubles as the pid tie-break
+      rank of the legacy heap key), the architecture's node order
+      (also the TDMA geometry index), and messages in the order the
+      job walk below first meets them;
     * jobs -- :class:`JobTable` insertion order (graph x instance x
       process, the order the object kernel iterates);
-    * messages / edges -- first-encounter order while walking each
-      job's ``out_messages`` (the object kernel's delivery order).
+    * edges -- each job's ``out_messages`` order (the object kernel's
+      delivery order).
     """
 
     def __init__(self, compiled: "CompiledSpec") -> None:
@@ -394,17 +405,13 @@ class ArraySpec:
         application = compiled.application
         table = compiled.job_table
 
-        # --- dense ids -----------------------------------------------
-        self.node_ids: List[str] = list(self.architecture.node_ids)
-        self.node_index: Dict[str, int] = {
-            nid: i for i, nid in enumerate(self.node_ids)
-        }
-        self.pids: List[str] = sorted(
-            {proc.id for proc in application.processes}
-        )
-        self.pid_index: Dict[str, int] = {
-            pid: i for i, pid in enumerate(self.pids)
-        }
+        # --- dense ids (the design arrays' orders) -------------------
+        index = compiled.index
+        self.index = index
+        self.node_ids: List[str] = index.node_ids
+        self.node_index: Dict[str, int] = index.node_index
+        self.pids: List[str] = index.pids
+        self.pid_index: Dict[str, int] = index.pid_index
         self.job_keys: List[JobKey] = list(table.jobs)
         self.job_index: Dict[JobKey, int] = {
             key: i for i, key in enumerate(self.job_keys)
@@ -444,6 +451,7 @@ class ArraySpec:
             static_rank[j] = rank
         self.static_rank: List[int] = static_rank
         self.static_rank_np = np.array(static_rank, dtype=np.int64)
+        self._job_range = np.arange(n_jobs, dtype=np.int64)
 
         self.preds0: List[int] = [
             table.preds_template[key] for key in self.job_keys
@@ -468,8 +476,8 @@ class ArraySpec:
             )
 
         # --- out-edge CSR (per job, in out_messages order) -----------
-        self.message_ids: List[str] = []
-        self.msg_index: Dict[str, int] = {}
+        self.message_ids: List[str] = index.message_ids
+        self.msg_index: Dict[str, int] = index.msg_index
         out_ptr: List[int] = [0]
         edge_msg: List[int] = []
         edge_dst: List[int] = []
@@ -479,12 +487,7 @@ class ArraySpec:
             pid, instance = key
             graph = application.graph_of(pid)
             for msg in graph.out_messages(pid):
-                m = self.msg_index.get(msg.id)
-                if m is None:
-                    m = len(self.message_ids)
-                    self.msg_index[msg.id] = m
-                    self.message_ids.append(msg.id)
-                edge_msg.append(m)
+                edge_msg.append(self.msg_index[msg.id])
                 edge_dst.append(self.job_index[(msg.dst, instance)])
                 edge_dst_pid.append(self.pid_index[msg.dst])
                 edge_size.append(msg.size)
@@ -618,33 +621,27 @@ class ArraySpec:
     # per-candidate lowering
     # ------------------------------------------------------------------
     def lower_candidate(self, design: "CandidateDesign") -> _Candidate:
-        """Mapping/priorities/delays of one candidate, in index form.
+        """One candidate in kernel form: its arrays plus the rank bijection.
 
         The rank bijection is the heart of the integer heap: jobs
         sorted by ``(urgency, static_rank)`` -- the legacy heap-key
         order -- and ``rank_of_job`` maps each job to its position.
         The float urgencies are ranked here, by ``np.lexsort``; both
-        kernels see the integer ranks only.
+        kernels see the integer ranks only.  The ranks depend on the
+        priorities alone, so they are kept on the design, and a child
+        whose priorities did not change (remap and delay moves)
+        inherits them and skips the sort.
         """
-        assignment = design.mapping.as_dict()
-        node_index = self.node_index
-        node_of = [node_index[assignment[pid]] for pid in self.pids]
-        priorities = design.priorities
-        prio = np.array(
-            [priorities.get(pid, 0.0) for pid in self.pids],
-            dtype=np.float64,
-        )
-        urg = self.job_deadline_f - prio[self.job_pid_np]
-        order = np.lexsort((self.static_rank_np, urg))
-        rank_np = np.empty(self.n_jobs, dtype=np.int64)
-        rank_np[order] = np.arange(self.n_jobs, dtype=np.int64)
-        delays = [0] * self.n_messages
-        msg_index = self.msg_index
-        for mid, value in design.message_delays.items():
-            m = msg_index.get(mid)
-            if m is not None:
-                delays[m] = value
-        return _Candidate(node_of, delays, urg, rank_np, order)
+        if design.index is not self.index:
+            self.index.check_fits(design.index)
+        lowered = design._lowered
+        if lowered is None or lowered[0] is not self:
+            urg = self.job_deadline_f - design.prio[self.job_pid_np]
+            order = np.lexsort((self.static_rank_np, urg))
+            rank = np.empty(self.n_jobs, dtype=np.int64)
+            rank[order] = self._job_range
+            lowered = design._lowered = (self, urg, rank, order)
+        return _Candidate(design.node, design.delay, *lowered[1:])
 
     def fresh_state(
         self, cand: _Candidate, record: bool, columns: Optional[bool] = None
@@ -701,8 +698,8 @@ class ArraySpec:
         """Cold-pass state block: the template plus the candidate section."""
         layout = self.layout
         block = self.block_template.copy()
-        block[layout.node_of:layout.delays] = cand.node_of
-        block[layout.delays:layout.rank] = cand.delays
+        block[layout.node_of:layout.delays] = cand.node_np
+        block[layout.delays:layout.rank] = cand.delays_np
         block[layout.rank:layout.order] = cand.rank_np
         block[layout.order:layout.count] = cand.order_np
         return ArrayBlockState(layout, block)
@@ -752,7 +749,6 @@ class ArraySpec:
         otherwise, and whenever a trace is asked for, the list kernel
         runs.
         """
-        design.mapping.validate_complete()
         cand = self.lower_candidate(design)
         if record or columns or ckernel.KERNEL is None:
             st: RunState = self.fresh_state(cand, record, columns)
@@ -1000,8 +996,8 @@ class ArraySpec:
         self,
         parent: ArrayRunState,
         fp: "MoveFootprint",
-        old_priorities: "PriorityMap",
-        new_priorities: "PriorityMap",
+        old_priorities: Mapping[str, float],
+        new_priorities: Mapping[str, float],
         new_urg: List[float],
     ) -> int:
         """First parent event index the move can change (see

@@ -40,14 +40,23 @@ def design_to_dict(design: "CandidateDesign") -> dict:
 
 
 def design_from_dict(data: dict, spec: "DesignSpec") -> "CandidateDesign":
-    """Rebuild a design point against ``spec``'s model objects."""
-    from repro.core.transformations import CandidateDesign
-    from repro.model.mapping import Mapping
+    """Rebuild a design point against ``spec``'s model objects.
 
-    return CandidateDesign(
-        Mapping(spec.current, spec.architecture, dict(data["mapping"])),
-        dict(data["priorities"]),
-        {k: int(v) for k, v in data["message_delays"].items()},
+    Raises
+    ------
+    ValueError
+        Naming the offending id, for an unknown process, node or
+        message id, a disallowed node, a missing mapping entry or a
+        negative delay.
+    """
+    from repro.core.transformations import CandidateDesign
+    from repro.model.design_index import DesignIndex
+
+    return CandidateDesign.from_dicts(
+        DesignIndex.of(spec.current, spec.architecture),
+        data["mapping"],
+        data["priorities"],
+        data["message_delays"],
     )
 
 

@@ -64,7 +64,7 @@ def select_candidates(
     the binding window).  Larger WCETs win ties.
     """
     schedule = evaluated.schedule
-    mapping = evaluated.mapping
+    design = evaluated.design
     frag = slack_fragmentation(schedule)
     profile = window_slack_profile(schedule, spec.future.t_min)
     worst_index = {
@@ -76,7 +76,7 @@ def select_candidates(
 
     scored: List[Tuple[float, int, str]] = []
     for proc in spec.current.processes:
-        node_id = mapping.node_of(proc.id)
+        node_id = design.node_of(proc.id)
         score = frag[node_id].fragmentation
         wcet = proc.wcet_on(node_id)
         worst = windows[worst_index[node_id]]
@@ -133,13 +133,13 @@ def generate_moves(
 ) -> List[Transformation]:
     """The bounded high-potential neighbourhood of one design."""
     candidates = select_candidates(spec, evaluated, pool_size)
-    mapping = evaluated.mapping
+    design = evaluated.design
     schedule = evaluated.schedule
     moves: List[Transformation] = []
 
     for pid in candidates:
         process = spec.current.process(pid)
-        current_node = mapping.node_of(pid)
+        current_node = design.node_of(pid)
         for node_id in process.allowed_nodes:
             if node_id != current_node:
                 moves.append(RemapProcess(pid, node_id))
@@ -147,14 +147,13 @@ def generate_moves(
             moves.append(SwapPriorities(pid, neighbour))
 
     if use_message_moves:
-        delays = evaluated.design.message_delays
         for pid in candidates:
             graph = spec.current.graph_of(pid)
             for msg in graph.out_messages(pid):
-                if mapping.node_of(msg.src) == mapping.node_of(msg.dst):
+                if design.node_of(msg.src) == design.node_of(msg.dst):
                     continue
                 moves.append(DelayMessage(msg.id, +1))
-                if delays.get(msg.id, 0) > 0:
+                if design.delay_of(msg.id) > 0:
                     moves.append(DelayMessage(msg.id, -1))
     return moves
 
@@ -212,16 +211,14 @@ def random_move(
     processes = spec.current.processes
     if not processes:
         return None
+    design = current.design
     roll = rng.random()
     if roll < 0.55:
         # Remap a random process to a random *other* allowed node.
         for _ in range(8):
             proc = processes[rng.integers(len(processes))]
-            options = [
-                n
-                for n in proc.allowed_nodes
-                if n != current.mapping.node_of(proc.id)
-            ]
+            current_node = design.node_of(proc.id)
+            options = [n for n in proc.allowed_nodes if n != current_node]
             if options:
                 return RemapProcess(
                     proc.id, options[rng.integers(len(options))]
@@ -233,10 +230,8 @@ def random_move(
     messages = spec.current.messages
     for _ in range(8):
         msg = messages[rng.integers(len(messages))]
-        if current.mapping.node_of(msg.src) != current.mapping.node_of(
-            msg.dst
-        ):
-            delay = current.design.message_delays.get(msg.id, 0)
+        if design.node_of(msg.src) != design.node_of(msg.dst):
+            delay = design.delay_of(msg.id)
             delta = +1 if delay == 0 or rng.random() < 0.5 else -1
             return DelayMessage(msg.id, delta)
     return random_swap(processes, rng)

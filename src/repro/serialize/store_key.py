@@ -4,10 +4,12 @@ The sqlite result store (:mod:`repro.engine.store`) persists evaluation
 outcomes across processes and runs, keyed by *what was evaluated*:
 
 * :func:`signature_key` -- the candidate axis.  A
-  :data:`repro.engine.compiled_spec.Signature` is already canonical
-  (sorted item tuples), so its compact JSON rendering is a stable,
-  collision-free text key.  Floats render via ``repr`` and therefore
-  round-trip exactly; the key is only ever compared, never parsed.
+  :data:`repro.engine.compiled_spec.Signature` is the design key: the
+  node, priority and delay arrays' bytes, concatenated in the order of
+  the problem's :class:`~repro.model.design_index.DesignIndex`.  Its
+  hex rendering is a stable, collision-free text key within one
+  problem (which :func:`spec_store_key` scopes), and it decodes back
+  to the design exactly (``bytes.fromhex`` + ``np.frombuffer``).
 * :func:`spec_store_key` -- the problem axis.  Two
   :class:`~repro.core.strategy.DesignSpec` instances describe the same
   problem exactly when their serialized forms agree, so the key is a
@@ -41,8 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def signature_key(signature: "Signature") -> str:
-    """Canonical text form of one candidate signature."""
-    return json.dumps(signature, separators=(",", ":"))
+    """Canonical text form of one candidate signature (its hex)."""
+    return signature.hex()
 
 
 def spec_store_key(spec: "DesignSpec") -> str:

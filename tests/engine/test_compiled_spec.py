@@ -2,9 +2,13 @@
 
 import pytest
 
+from kernel_oracle import record_key_pairs
+
 from repro.core.initial_mapping import InitialMapper
 from repro.core.transformations import CandidateDesign
 from repro.engine.compiled_spec import CompiledSpec
+from repro.experiments.runner import family_strategy
+from repro.gen import families
 from repro.sched.priorities import hcp_priorities
 from repro.utils.errors import SchedulingError
 
@@ -195,6 +199,37 @@ class TestSignature:
         a = CandidateDesign(mapping, dict(priorities))
         b = CandidateDesign(mapping.copy(), dict(priorities), {msg.id: 1})
         assert compiled.signature(a) != compiled.signature(b)
+
+    def test_signature_is_the_design_key(self, spec):
+        compiled = CompiledSpec(spec)
+        mapper = InitialMapper(spec.architecture)
+        mapping, _ = mapper.try_map_and_schedule(
+            spec.current, base=spec.base_schedule
+        )
+        design = CandidateDesign(mapping, dict(compiled.default_priorities))
+        key = compiled.signature(design)
+        assert isinstance(key, bytes) and key == design.key
+        assert len(key) == compiled.index.key_size
+
+    @pytest.mark.parametrize("family_name", families.family_names())
+    def test_array_keys_partition_like_dict_signatures(
+        self, monkeypatch, family_name
+    ):
+        """Over every candidate seeded MH and SA runs visit, two array
+        keys are equal exactly when their dict-form signatures are: the
+        cache sees the same hits it saw with dict designs."""
+        pairs = record_key_pairs(monkeypatch)
+        family = families.get_family(family_name)
+        spec = family.build(family.smallest_preset, seed=1).spec()
+        for strategy in ("MH", "SA"):
+            family_strategy(strategy, 1, 150).design(spec)
+        assert len(pairs) > 50
+        by_key, by_signature = {}, {}
+        for key, signature in pairs:
+            assert by_key.setdefault(key, signature) == signature
+            assert by_signature.setdefault(signature, key) == key
+        # Revisits happen, so the check compares something.
+        assert len(by_key) < len(pairs)
 
 
 class TestArchitectureValidation:

@@ -84,7 +84,7 @@ class TestSqliteStore:
         reader = SqliteResultStore(path, compiled=compiled)
         found, outcome = reader.get(signature)
         assert found and outcome is None
-        missing = (signature[0], signature[1], (("ghost", 1),))
+        missing = signature[:-1] + bytes([signature[-1] ^ 1])
         assert reader.get(missing) == (False, None)
         assert reader.stats().hits == 1
         assert reader.stats().misses == 1
@@ -188,6 +188,77 @@ class TestSqliteStore:
             store = SqliteResultStore(path)
         assert not store.persistent
 
+    @pytest.mark.parametrize("journal", ["WAL", "DELETE"])
+    def test_v1_database_degrades_and_stays_byte_identical(
+        self, compiled, im_design, tmp_path, journal
+    ):
+        """A store written before design keys became array bytes (schema
+        1, JSON tuple keys) is refused with a one-line reason, and the
+        file is not touched -- not even its journal mode."""
+        path = tmp_path / "v1.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute(f"PRAGMA journal_mode={journal}")
+        conn.execute(
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)"
+        )
+        conn.execute(
+            "CREATE TABLE results (scenario TEXT NOT NULL, signature TEXT "
+            "NOT NULL, payload BLOB NOT NULL, "
+            "PRIMARY KEY (scenario, signature))"
+        )
+        conn.execute("INSERT INTO meta VALUES ('schema_version', '1')")
+        conn.execute(
+            "INSERT INTO results VALUES (?, ?, ?)",
+            ("scenario", '[[["P0","N0"]],[["P0",1.0]],[]]', b"I"),
+        )
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            store = SqliteResultStore(path, compiled=compiled)
+        runtime = [w for w in caught if w.category is RuntimeWarning]
+        assert len(runtime) == 1
+        message = str(runtime[0].message)
+        assert "schema version 1, supported 2" in message
+        assert "\n" not in message
+        assert not store.persistent
+        signature = compiled.signature(im_design)
+        store.put(signature, None)
+        assert store.get(signature) == (True, None)
+        store.commit()
+        store.close()
+        assert path.read_bytes() == before
+
+    def test_garbled_design_row_raises_naming_the_process(
+        self, compiled, im_design, tmp_path
+    ):
+        """A stored design row whose key maps a process outside the
+        architecture fails loudly, naming the process."""
+        index = compiled.index
+        node = im_design.node.copy()
+        node[0] = len(index.node_ids)
+        garbled = node.tobytes() + im_design.prio.tobytes() + im_design.delay.tobytes()
+        cold = evaluate_candidate(compiled, im_design)
+        path = tmp_path / "store.sqlite"
+        writer = SqliteResultStore(path, compiled=compiled)
+        writer.put(garbled, cold)
+        writer.close()
+        reader = SqliteResultStore(path, compiled=compiled)
+        with pytest.raises(ValueError, match=repr(index.pids[0])):
+            reader.get(garbled)
+        reader.close()
+
+    def test_signature_key_is_hex_of_the_design_key(self, compiled, im_design):
+        from repro.serialize import signature_key
+
+        signature = compiled.signature(im_design)
+        assert signature == im_design.key
+        text = signature_key(signature)
+        assert bytes.fromhex(text) == signature
+        back = CandidateDesign.from_key(compiled.index, bytes.fromhex(text))
+        assert back == im_design
+
     def test_foreign_database_is_left_untouched(self, tmp_path):
         """A database some other program owns is not a result store:
         the store degrades once, loudly, and adds no table to it."""
@@ -278,12 +349,11 @@ class TestEngineStoreIntegration:
             {n for p in spec.current.processes for n in p.allowed_nodes}
         )
         for node in nodes:
-            candidate = CandidateDesign(
-                im_design.mapping.copy(), dict(im_design.priorities)
-            )
+            mapping = im_design.mapping.copy()
             for p in spec.current.processes:
                 if node in p.allowed_nodes:
-                    candidate.mapping.assign(p.id, node)
+                    mapping.assign(p.id, node)
+            candidate = CandidateDesign(mapping, dict(im_design.priorities))
             with EvaluationEngine(spec, EngineConfig(use_cache=False)) as probe:
                 if probe.evaluate(candidate) is None:
                     overloaded = candidate

@@ -14,6 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.metrics import evaluate_design
+from repro.core.transformations import (
+    DelayMessage,
+    RemapProcess,
+    SwapPriorities,
+)
+from repro.engine.compiled_spec import CompiledSpec
 from repro.engine.engine import EvaluationEngine
 from repro.sched.list_scheduler import ListScheduler
 
@@ -116,12 +122,89 @@ def assert_matches_oracle(spec, design, outcome, arrays=None, label=""):
         ), label
 
 
-def _design_key(design):
+def dict_signature(mapping, priorities, message_delays):
+    """The dict-form candidate signature: sorted item tuples.
+
+    This was ``CompiledSpec.signature`` while designs were three
+    id-keyed dicts; it stays as the oracle the array key (the design
+    arrays' bytes) is checked against.
+    """
     return (
-        tuple(sorted(design.mapping.as_dict().items())),
-        tuple(sorted(design.priorities.items())),
-        tuple(sorted(design.message_delays.items())),
+        tuple(sorted(mapping.items())),
+        tuple(sorted(priorities.items())),
+        tuple(sorted(message_delays.items())),
     )
+
+
+def dict_apply(move, dicts):
+    """``move`` applied to ``(mapping, priorities, delays)`` dicts, the
+    way the moves edited dict designs (missing priority = 0.0, a delay
+    that reaches 0 is dropped)."""
+    mapping, priorities, delays = (dict(d) for d in dicts)
+    if isinstance(move, RemapProcess):
+        mapping[move.process_id] = move.node_id
+    elif isinstance(move, SwapPriorities):
+        a = priorities.get(move.first, 0.0)
+        b = priorities.get(move.second, 0.0)
+        priorities[move.first] = b
+        priorities[move.second] = a
+    else:
+        new = max(0, delays.get(move.message_id, 0) + move.delta)
+        if new == 0:
+            delays.pop(move.message_id, None)
+        else:
+            delays[move.message_id] = new
+    return mapping, priorities, delays
+
+
+def design_dicts(design):
+    """A design's id-keyed dicts (its read-only views, copied)."""
+    return (
+        design.mapping.as_dict(),
+        dict(design.priorities),
+        dict(design.message_delays),
+    )
+
+
+def _design_key(design):
+    return dict_signature(*design_dicts(design))
+
+
+def record_key_pairs(monkeypatch):
+    """Pair every signature the engine takes with the dict-form oracle.
+
+    Every design a move derives is shadowed by the dicts
+    :func:`dict_apply` derives from its parent's shadow; a design no
+    move derived (an Initial Mapping start, a checkpointed point) is
+    its own shadow.  Returns the list of ``(array key, dict
+    signature)`` pairs, one per :meth:`CompiledSpec.signature` call.
+    """
+    shadows = {}
+    pairs = []
+
+    def shadow_of(design):
+        entry = shadows.get(id(design))
+        if entry is not None and entry[0] is design:
+            return entry[1]
+        return design_dicts(design)
+
+    for cls in (RemapProcess, SwapPriorities, DelayMessage):
+        def apply(self, design, _original=cls.apply):
+            child = _original(self, design)
+            shadows[id(child)] = (child, dict_apply(self, shadow_of(design)))
+            return child
+
+        monkeypatch.setattr(cls, "apply", apply)
+
+    original = CompiledSpec.signature
+
+    def signature(self, design):
+        key = original(self, design)
+        pairs.append((key, dict_signature(*shadow_of(design))))
+        return key
+
+    monkeypatch.setattr(CompiledSpec, "signature", signature)
+    return pairs
 
 
 def record_candidates(monkeypatch):

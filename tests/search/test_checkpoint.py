@@ -231,3 +231,77 @@ class TestMemberCheckpointWire:
         late = len(cut_sa_at(spec, 75).to_json())
         assert late < 32 * 1024
         assert abs(late - early) <= 0.2 * max(early, late)
+
+
+class TestGarbledCheckpointDesign:
+    """External design points fail loudly, naming the offending id."""
+
+    @staticmethod
+    def wire(spec, evaluator, start):
+        from repro.search.checkpoint import design_to_dict
+
+        return design_to_dict(start.design)
+
+    def garble(self, spec, evaluator, start, edit):
+        import copy
+
+        import pytest
+
+        from repro.search.checkpoint import design_from_dict
+
+        data = copy.deepcopy(self.wire(spec, evaluator, start))
+        needle = edit(data)
+        with pytest.raises(ValueError, match=repr(needle)):
+            design_from_dict(data, spec)
+
+    def test_round_trip(self, spec, evaluator, start):
+        from repro.search.checkpoint import design_from_dict
+
+        data = self.wire(spec, evaluator, start)
+        assert design_from_dict(data, spec) == start.design
+
+    def test_unknown_process_in_mapping(self, spec, evaluator, start):
+        def edit(data):
+            data["mapping"]["ghost"] = next(iter(data["mapping"].values()))
+            return "ghost"
+
+        self.garble(spec, evaluator, start, edit)
+
+    def test_unknown_node(self, spec, evaluator, start):
+        def edit(data):
+            pid = next(iter(data["mapping"]))
+            data["mapping"][pid] = "N99"
+            return "N99"
+
+        self.garble(spec, evaluator, start, edit)
+
+    def test_missing_mapping_entry(self, spec, evaluator, start):
+        def edit(data):
+            pid = sorted(data["mapping"])[-1]
+            del data["mapping"][pid]
+            return pid
+
+        self.garble(spec, evaluator, start, edit)
+
+    def test_unknown_process_in_priorities(self, spec, evaluator, start):
+        def edit(data):
+            data["priorities"]["ghost"] = 1.0
+            return "ghost"
+
+        self.garble(spec, evaluator, start, edit)
+
+    def test_unknown_message(self, spec, evaluator, start):
+        def edit(data):
+            data["message_delays"]["m-ghost"] = 1
+            return "m-ghost"
+
+        self.garble(spec, evaluator, start, edit)
+
+    def test_negative_delay(self, spec, evaluator, start):
+        mid = spec.current.messages[0].id
+
+        def edit(data):
+            data["message_delays"][mid] = -2
+            return mid
+
+        self.garble(spec, evaluator, start, edit)

@@ -76,3 +76,25 @@ class TestExamples:
         out = run_example("future_proofing_sweep.py", capsys)
         assert "t_need" in out
         assert "MH obj" in out
+
+
+def docstring_code_block(doc: str, marker: str) -> str:
+    """The indented literal block that follows ``marker::`` in ``doc``."""
+    lines = doc.split(marker + "::", 1)[1].splitlines()[1:]
+    block = []
+    for line in lines:
+        if line.strip() and not line.startswith("    "):
+            break
+        block.append(line[4:])
+    return "\n".join(block).strip() + "\n"
+
+
+class TestPackageDocstring:
+    def test_quickstart_block_runs(self, capsys):
+        import repro
+
+        code = docstring_code_block(repro.__doc__, "Quickstart")
+        assert "design_application" in code
+        exec(compile(code, "<repro quickstart>", "exec"), {})
+        out = capsys.readouterr().out
+        assert "C1P=" in out and "C=" in out, out
